@@ -39,6 +39,7 @@ from .entropy import (
 from .separation import (
     SeparationQuery,
     SeparationResult,
+    SeparationSolver,
     chain_bound,
     pair_bound,
     pair_separation,
@@ -76,6 +77,7 @@ __all__ = [
     "eac_hull_bound",
     "SeparationQuery",
     "SeparationResult",
+    "SeparationSolver",
     "chain_bound",
     "pair_bound",
     "pair_separation",

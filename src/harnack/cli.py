@@ -54,15 +54,6 @@ def _parse_pair(text: str) -> tuple[np.ndarray, np.ndarray]:
     return _parse_point(parts[0]), _parse_point(parts[1])
 
 
-def max_threads() -> int:
-    """Parallelism cap from HARNACK_THREADS (all solvers are sequential;
-    the cap is honored as an upper limit, never exceeded)."""
-    try:
-        return max(1, int(os.environ.get("HARNACK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -87,7 +78,7 @@ def cmd_sandwich(args) -> int:
     hops = args.hops
 
     coincident = bool(np.array_equal(x, y))
-    uppers: dict[str, float | None] = {}
+    uppers: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
     # pair bound, both variants
@@ -102,9 +93,7 @@ def cmd_sandwich(args) -> int:
     # entropy bound for the two-point set
     eac = entropy.eac_hull_bound(domain, np.vstack([x, y]), "segmental")
     if math.isfinite(eac):
-        sharp, rounded = entropy.eac_harnack_bound(eac, domain.dim)
-        uppers["eac_sharp"] = sharp
-        uppers["eac_rounded"] = rounded
+        uppers["eac_sharp"], uppers["eac_rounded"] = entropy.eac_harnack_bound(eac, domain.dim)
     else:
         inapplicable["eac_sharp"] = "segmental hull not certified inside the domain"
 
@@ -122,6 +111,10 @@ def cmd_sandwich(args) -> int:
             "try more hops or a finer grid"
         )
 
+    for name in [k for k, v in uppers.items() if not math.isfinite(v)]:
+        del uppers[name]
+        inapplicable[name] = "bound overflows the float range"
+
     lower_enc = exact.enclosing_ball_lower_bound(domain, x, y)
     lower_poi = exact.poisson_witness_lower_bound(domain, x, y)
     lower = lower_enc if lower_enc.value >= lower_poi.value else lower_poi
@@ -133,8 +126,7 @@ def cmd_sandwich(args) -> int:
         exact_value = 1.0
         lower = exact.LowerBoundCertificate("disk_exact", 1.0, {"note": "coincident points"})
 
-    finite_uppers = [v for v in uppers.values() if v is not None]
-    min_upper = min(finite_uppers) if finite_uppers else math.inf
+    min_upper = min(uppers.values(), default=math.inf)
     consistent = lower.value <= min_upper + CONSISTENCY_TOL
     if exact_value is not None:
         consistent &= lower.value - CONSISTENCY_TOL <= exact_value <= min_upper + CONSISTENCY_TOL
@@ -208,14 +200,14 @@ def cmd_set(args) -> int:
     if args.what in ("eac", "bound"):
         est, payload = _eac_payload(domain, pts, args)
         report["eac"] = payload
+        report["eac_harnack_bound"] = None
         if math.isfinite(est.value):
             sharp, rounded = entropy.eac_harnack_bound(est.value, domain.dim)
-            report["eac_harnack_bound"] = {
-                "sharp": _fmt(sharp),
-                "rounded": _fmt(rounded),
-            }
-        else:
-            report["eac_harnack_bound"] = None
+            if math.isfinite(sharp) and math.isfinite(rounded):
+                report["eac_harnack_bound"] = {
+                    "sharp": _fmt(sharp),
+                    "rounded": _fmt(rounded),
+                }
 
     if args.what in ("sep", "bound"):
         if args.start is None:

@@ -11,7 +11,7 @@ the resulting Harnack-distance bound (3 * 2^(d-2))^(2*eac + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +23,8 @@ from .geometry import (
     diameter,
     dist_to_complement,
     hull_clearance,
+    lattice_half_offsets,
+    lattice_neighbors,
     lattice_points,
     points_array,
 )
@@ -117,23 +119,7 @@ def _grid_graph(domain: Domain, grid_step: float):
     nodes = lattice_points(domain, grid_step)
     n = nodes.shape[0]
     clear = domain.clearance(nodes) if n else np.zeros(0)
-    d = domain.dim
-    key_to_idx = {tuple(k): i for i, k in enumerate(np.rint(nodes / grid_step).astype(int))}
-    offsets = []
-    for off in np.ndindex(*(3,) * d):
-        o = np.array(off) - 1
-        if tuple(o) > (0,) * d:  # half of the neighborhood, no duplicates
-            offsets.append(o)
-    ii, jj = [], []
-    keys = np.rint(nodes / grid_step).astype(int)
-    for o in offsets:
-        for i in range(n):
-            j = key_to_idx.get(tuple(keys[i] + o))
-            if j is not None:
-                ii.append(i)
-                jj.append(j)
-    ii = np.array(ii, dtype=int)
-    jj = np.array(jj, dtype=int)
+    ii, jj = lattice_neighbors(nodes, grid_step, lattice_half_offsets((1,) * domain.dim))
     if ii.size:
         lengths = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
         mids = 0.5 * (nodes[ii] + nodes[jj])
@@ -341,7 +327,8 @@ def build_ball_chain(domain: Domain, x, y, C: float, estimate: EacEstimate) -> B
 
 def eac_harnack_bound(eac_value: float, dim: int) -> tuple[float, float]:
     """Harnack-distance bounds from an entropy upper bound: the sharp value
-    (3 * 2^(d-2))^(2*eac + 1) and the rounded value 2^(2d(eac + 1))."""
+    (3 * 2^(d-2))^(2*eac + 1) and the rounded value 2^(2d(eac + 1)); a
+    value beyond the float range is +inf."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if not (eac_value >= 0 and math.isfinite(eac_value)):
@@ -349,6 +336,15 @@ def eac_harnack_bound(eac_value: float, dim: int) -> tuple[float, float]:
             "entropy must be finite and >= 0 (infinite entropy means the set "
             "is not compactly contained in the domain)"
         )
-    sharp = (3.0 * 2.0 ** (dim - 2)) ** (2.0 * eac_value + 1.0)
-    rounded = 2.0 ** (2.0 * dim * (eac_value + 1.0))
-    return sharp, rounded
+    return (
+        _power(3.0 * 2.0 ** (dim - 2), 2.0 * eac_value + 1.0),
+        _power(2.0, 2.0 * dim * (eac_value + 1.0)),
+    )
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or +inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf

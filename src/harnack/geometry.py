@@ -34,6 +34,8 @@ __all__ = [
     "load_point_set",
     "dump_point_set",
     "lattice_points",
+    "lattice_half_offsets",
+    "lattice_neighbors",
     "segment_samples",
     "certified_segment_clearance",
 ]
@@ -543,6 +545,39 @@ def lattice_points(domain: Domain, step: float) -> np.ndarray:
     if grid.shape[0] == 0:
         return grid.reshape(0, domain.dim)
     return grid[domain.clearance(grid) > 0.0]
+
+
+def lattice_half_offsets(bounds) -> np.ndarray:
+    """Integer offsets o with |o_k| <= bounds[k] that are lexicographically
+    positive, in lexicographic order: one offset of each pair +o, -o."""
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    # C-order is lexicographic and the box is symmetric, so 0 sits mid-way
+    return box[box.shape[0] // 2 + 1 :]
+
+
+def lattice_neighbors(nodes: np.ndarray, step: float, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of lattice nodes (integer multiples of step) with
+    node j = node i + step * o for an offset o, ordered by offset, then by i."""
+    keys = np.rint(nodes / step).astype(np.int64)
+    n = keys.shape[0]
+    ii, jj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    if n:
+        lo = keys.min(axis=0)
+        ext = keys.max(axis=0) - lo + 1
+        keys -= lo
+        flat = np.ravel_multi_index(keys.T, ext)
+        order = np.argsort(flat)
+        flat = flat[order]
+        for o in np.asarray(offsets, dtype=np.int64).reshape(-1, keys.shape[1]):
+            moved = keys + o
+            i = np.flatnonzero(np.all((moved >= 0) & (moved < ext), axis=1))
+            want = np.ravel_multi_index(moved[i].T, ext)
+            pos = np.minimum(np.searchsorted(flat, want), n - 1)
+            hit = flat[pos] == want
+            ii.append(i[hit])
+            jj.append(order[pos[hit]])
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 # ---------------------------------------------------------------------------

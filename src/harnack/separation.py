@@ -6,6 +6,12 @@ pair bound 2^(2d) / (1 - q)^(2(d-1)).  For a set with a start point and a
 hop budget l, a hop-limited minimax (bottleneck) dynamic program over a
 grid discretization over-estimates the sup-inf separation, which feeds the
 set bound 2^(2dl) / (1 - q)^((d-1)l).
+
+The program runs on a sparse edge list: grid-grid edges within a neighbor
+radius (from integer lattice offsets), edges from the start and the targets
+to every grid node, edges among the start and the targets, and zero-cost
+self-edges.  Memory is O(N k + m N) for N grid nodes, k lattice offsets in
+the radius and m targets.  Ties go to the lowest predecessor index.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .geometry import (
     Domain,
     certified_segment_clearance,
     contains,
+    lattice_half_offsets,
+    lattice_neighbors,
     lattice_points,
     points_array,
 )
@@ -66,10 +74,13 @@ def pair_bound_from_q(q: float, dim: int, variant: str = "stated") -> float:
         )
     if q < 0:
         raise ValueError("separation must be >= 0")
-    if variant == "stated":
-        return 2.0 ** (2 * dim) / (1.0 - q) ** (2 * (dim - 1))
-    if variant == "proof_sharp":
-        return (2.0 ** (dim - 2) * (3.0 + q) / (1.0 - q) ** (dim - 1)) ** 2
+    try:
+        if variant == "stated":
+            return 2.0 ** (2 * dim) / (1.0 - q) ** (2 * (dim - 1))
+        if variant == "proof_sharp":
+            return (2.0 ** (dim - 2) * (3.0 + q) / (1.0 - q) ** (dim - 1)) ** 2
+    except (OverflowError, ZeroDivisionError):  # (1-q)^(d-1) is 0 for q near 1, large d
+        return math.inf
     raise ValueError(f"unknown variant: {variant!r}")
 
 
@@ -120,11 +131,18 @@ class SeparationResult:
 class SeparationSolver:
     """Hop-limited minimax path solver on a grid discretization of a domain.
 
-    Grid nodes are interior lattice points; grid-grid edges connect nodes
-    within the neighbor radius (default 4 * grid_step), while the start and
-    target points connect to every node.  Edge cost is the pair separation;
-    edges with cost >= 1 are dropped; explicit zero-cost self-edges make
-    the exactly-l and at-most-l formulations coincide.
+    Grid nodes are interior lattice points.  Edge cost is the pair
+    separation |p_i - p_j| / (c_i + c_j), and edges with cost >= 1 are
+    dropped.  The edges are
+      - grid-grid pairs within the neighbor radius (default 4 * grid_step),
+        found from integer lattice offsets;
+      - the start and each target to every grid node;
+      - all pairs among the start and the targets;
+      - a zero-cost self-edge per node, which makes the exactly-l and
+        at-most-l formulations coincide.
+    Memory is O(N k + m N) for N grid nodes, k offsets inside the radius
+    and m targets.  Each hop relaxes every edge, and a node's predecessor
+    is the lowest-indexed one that attains its minimum.
     """
 
     def __init__(self, domain: Domain, grid_step: float, neighbor_radius: float | None = None):
@@ -145,37 +163,68 @@ class SeparationSolver:
             if self.nodes.shape[0]
             else np.zeros(0)
         )
+        self._grid_edges = self._neighbor_edges()
 
-    def _cost_matrix(self, pts: np.ndarray, clear: np.ndarray, n_grid: int) -> np.ndarray:
-        m = pts.shape[0]
-        diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        cost = diff / (clear[:, None] + clear[None, :])
-        far = np.zeros((m, m), dtype=bool)
-        far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > self.neighbor_radius
-        cost[far] = np.inf
-        cost[cost >= 1.0] = np.inf
-        np.fill_diagonal(cost, 0.0)  # zero-cost self-edges
-        return cost
+    def _neighbor_edges(self):
+        """Grid-grid edges (src, dst, cost) in both directions."""
+        nodes, clear = self.nodes, self.clear
+        if nodes.shape[0] == 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        # a slightly wider integer reach, so that the float test below decides
+        reach = self.neighbor_radius / self.grid_step * (1.0 + 1e-9)
+        span = np.rint(np.ptp(nodes, axis=0) / self.grid_step)
+        offsets = lattice_half_offsets(np.minimum(span, np.floor(reach)).astype(int))
+        offsets = offsets[(offsets**2).sum(axis=1) <= reach * reach]
+        ii, jj = lattice_neighbors(nodes, self.grid_step, offsets)
+        diff = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
+        cost = diff / (clear[ii] + clear[jj])
+        keep = (diff <= self.neighbor_radius) & (cost < 1.0)
+        ii, jj, cost = ii[keep], jj[keep], cost[keep]
+        return np.concatenate([ii, jj]), np.concatenate([jj, ii]), np.concatenate([cost, cost])
 
     def solve(self, start, targets, hops: int):
         start = np.asarray(start, dtype=float)
         targets = points_array(targets, self.domain)
         n_grid = self.nodes.shape[0]
         pts = np.vstack([self.nodes, start[None, :], targets])
-        clear = np.concatenate(
-            [self.clear, self.domain.clearance(pts[n_grid:])]
-        )
-        if np.any(clear[n_grid:] <= 0):
+        extra = pts[n_grid:]
+        c_extra = self.domain.clearance(extra)
+        if np.any(c_extra <= 0):
             raise ValueError("start and targets must be interior to the domain")
-        cost = self._cost_matrix(pts, clear, n_grid)
-        i0 = n_grid
-        f = np.full(pts.shape[0], np.inf)
-        f[i0] = 0.0
+        n = pts.shape[0]
+
+        # start/targets to grid nodes, as an (m+1, N) array
+        diff = np.linalg.norm(extra[:, None, :] - self.nodes[None, :, :], axis=2)
+        cost = diff / (c_extra[:, None] + self.clear[None, :])
+        a, g = np.nonzero(cost < 1.0)
+        to_grid = cost[a, g]
+        a += n_grid
+        # pairs among the start and the targets
+        diff = np.linalg.norm(extra[:, None, :] - extra[None, :, :], axis=2)
+        cost = diff / (c_extra[:, None] + c_extra[None, :])
+        np.fill_diagonal(cost, np.inf)  # self-edges come below
+        p, q = np.nonzero(cost < 1.0)
+        among = cost[p, q]
+        ids = np.arange(n)
+        src_g, dst_g, cost_g = self._grid_edges
+        src = np.concatenate([src_g, a, g, p + n_grid, ids])
+        dst = np.concatenate([dst_g, g, a, q + n_grid, ids])
+        cost = np.concatenate([cost_g, to_grid, to_grid, among, np.zeros(n)])
+
+        order = np.argsort(dst * n + src)
+        src, dst, cost = src[order], dst[order], cost[order]
+        first = np.searchsorted(dst, ids)  # every node has its self-edge
+        edge = np.arange(src.size)
+        f = np.full(n, np.inf)
+        f[n_grid] = 0.0
         preds = []
         for _ in range(hops):
-            layer = np.maximum(f[:, None], cost)
-            preds.append(np.argmin(layer, axis=0))  # first index wins ties
-            f = layer.min(axis=0)
+            val = np.maximum(f[src], cost)
+            f = np.minimum.reduceat(val, first)
+            # sorted by (dst, src): the first edge attaining the minimum
+            # has the lowest predecessor index
+            hit = np.minimum.reduceat(np.where(val == f[dst], edge, src.size), first)
+            preds.append(src[hit])
         per_target = {}
         for t in range(targets.shape[0]):
             idx = n_grid + 1 + t
@@ -206,13 +255,17 @@ def set_separation(query: SeparationQuery) -> SeparationResult:
 
 
 def set_harnack_bound(result, hops: int, dim: int) -> float:
-    """2^(2dl) / (1 - q)^((d-1)l) with q the (over-estimated) set separation."""
+    """2^(2dl) / (1 - q)^((d-1)l) with q the (over-estimated) set separation;
+    +inf where the value is beyond the float range."""
     q = result.value if isinstance(result, SeparationResult) else float(result)
     if not q < 1.0:
         raise ValueError("separation condition violated: sep >= 1")
     if q < 0 or hops < 1 or dim < 2:
         raise ValueError("need q >= 0, hops >= 1, dim >= 2")
-    return 2.0 ** (2 * dim * hops) / (1.0 - q) ** ((dim - 1) * hops)
+    try:
+        return 2.0 ** (2 * dim * hops) / (1.0 - q) ** ((dim - 1) * hops)
+    except (OverflowError, ZeroDivisionError):  # 2^(2dl) overflows or (1-q)^.. is 0
+        return math.inf
 
 
 def chain_bound(domain: Domain, points, variant: str = "stated") -> float:

@@ -34,6 +34,14 @@ def box3d_file(tmp_path):
 
 
 @pytest.fixture
+def union3_file(tmp_path):
+    path = tmp_path / "union3.json"
+    balls = [{"center": c, "radius": 0.5} for c in ([-0.8, 0], [0, 0.2], [0.8, 0])]
+    path.write_text(json.dumps({"dim": 2, "shape": {"type": "union_of_balls", "balls": balls}}))
+    return str(path)
+
+
+@pytest.fixture
 def pair_file(tmp_path):
     path = tmp_path / "pts.json"
     path.write_text(json.dumps({"points": [[-0.5, 0], [0.5, 0]]}))
@@ -92,6 +100,17 @@ class TestSandwich:
         _, out2 = run(capsys, ["sandwich", "--domain", disk_file, "--pair=-0.3,0.2;0.4,0.1"])
         assert out1 == out2
 
+    def test_overflowing_entropy_bound_is_inapplicable(self, capsys, union3_file):
+        # the segmental hull entropy of this pair is about 300: 2^(4(eac+1))
+        # is beyond the float range
+        code, out = run(capsys, ["sandwich", "--domain", union3_file, "--pair=-0.118,0.399;1.098,0.329"])
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("bound_report.schema.json"))
+        assert report["inapplicable"]["eac_rounded"] == "bound overflows the float range"
+        assert "eac_rounded" not in report["uppers"]
+        assert report["verdict"] == "consistent"
+
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
@@ -126,6 +145,20 @@ class TestSet:
         jsonschema.validate(report, schema("set_report.schema.json"))
         assert report["sep"]["value"] < 1.0
         assert report["sep_harnack_bound"] > 1.0
+
+    def test_sep_bound_overflow_is_null(self, capsys, disk_file, pair_file):
+        code, out = run(
+            capsys,
+            [
+                "set", "sep", "--domain", disk_file, "--set", pair_file,
+                "--start=-0.4,0", "--hops", "300", "--grid", "0.2",
+            ],
+        )
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("set_report.schema.json"))
+        assert report["sep"]["value"] < 1.0
+        assert report["sep_harnack_bound"] is None
 
     def test_bound_reports_both(self, capsys, disk_file, pair_file):
         code, out = run(

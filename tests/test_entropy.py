@@ -5,12 +5,13 @@ import pytest
 
 from harnack.entropy import (
     GridDimensionError,
+    _grid_graph,
     build_ball_chain,
     eac_estimate,
     eac_harnack_bound,
     eac_hull_bound,
 )
-from harnack.geometry import Ball, Box
+from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls, lattice_points
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -159,3 +160,54 @@ class TestHarnackBound:
     def test_infinite_entropy_rejected(self):
         with pytest.raises(ValueError, match="compactly contained"):
             eac_harnack_bound(math.inf, 2)
+
+    def test_overflow_gives_infinity(self):
+        sharp, rounded = eac_harnack_bound(300.0, 2)  # 2^1204 overflows, 3^601 does not
+        assert math.isfinite(sharp) and rounded == math.inf
+        assert eac_harnack_bound(1e6, 3) == (math.inf, math.inf)
+
+
+def _dict_loop_graph(domain, grid_step):
+    """The former per-node dictionary walk over the half neighborhood."""
+    nodes = lattice_points(domain, grid_step)
+    clear = domain.clearance(nodes)
+    d = domain.dim
+    keys = np.rint(nodes / grid_step).astype(int)
+    key_to_idx = {tuple(k): i for i, k in enumerate(keys)}
+    ii, jj = [], []
+    for off in np.ndindex(*(3,) * d):
+        o = np.array(off) - 1
+        if tuple(o) > (0,) * d:
+            for i in range(nodes.shape[0]):
+                j = key_to_idx.get(tuple(keys[i] + o))
+                if j is not None:
+                    ii.append(i)
+                    jj.append(j)
+    ii = np.array(ii, dtype=int)
+    jj = np.array(jj, dtype=int)
+    lengths = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
+    cm = domain.clearance(0.5 * (nodes[ii] + nodes[jj]))
+    cert = np.minimum(np.minimum(clear[ii], clear[jj]), cm) - lengths / 4.0
+    return ii, jj, lengths, cert
+
+
+GRAPH_DOMAINS = [
+    (Ball(np.zeros(2), 1.0), 0.1),
+    (UNIT_BOX, 0.15),
+    (Polygon2D(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], float)), 0.1),
+    (UnionOfBalls(np.array([[-0.8, 0.0], [0.0, 0.2], [0.8, 0.0]]), np.full(3, 0.5)), 0.07),
+    (Ball(np.array([0.1, 0.0, -0.2]), 1.0), 0.2),
+    (Box(-np.ones(3), np.array([1.0, 0.5, 1.0])), 0.25),
+    (UnionOfBalls(np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]), np.full(2, 0.6)), 0.15),
+]
+
+
+@pytest.mark.parametrize(
+    "domain,step", GRAPH_DOMAINS, ids=["disk", "box", "L", "union3", "ball3d", "box3d", "union3d"]
+)
+def test_grid_graph_matches_dict_loop(domain, step):
+    _, _, ii, jj, lengths, cert = _grid_graph(domain, step)
+    want = _dict_loop_graph(domain, step)
+    assert ii.size > 0
+    for got, ref in zip((ii, jj, lengths, cert), want):
+        assert np.array_equal(got, ref)

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from harnack.exact import disk_harnack_two_points
-from harnack.geometry import Ball, Box
+from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls
 from harnack.separation import (
     SeparationQuery,
     SeparationSolver,
@@ -56,6 +57,11 @@ class TestPairBound:
     def test_separation_one_rejected(self):
         with pytest.raises(ValueError, match="single-link"):
             pair_bound(UNIT_DISK, (-0.5, 0), (0.5, 0))
+
+    def test_overflow_gives_infinity(self):
+        q = 1.0 - 2.0**-52
+        assert pair_bound_from_q(q, 12, "stated") == math.inf
+        assert pair_bound_from_q(q, 12, "proof_sharp") == math.inf
 
     def test_proof_sharp_below_stated(self):
         for d in range(2, 7):
@@ -150,6 +156,101 @@ class TestSetSeparation:
             SeparationQuery(UNIT_DISK, np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), 0, 0.1)
 
 
+def _dense_solve(solver, start, targets, hops):
+    """The former dense solver: an (N+m)^2 cost matrix and an argmin DP."""
+    n_grid = solver.nodes.shape[0]
+    pts = np.vstack([solver.nodes, start[None, :], targets])
+    clear = np.concatenate([solver.clear, solver.domain.clearance(pts[n_grid:])])
+    diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    cost = diff / (clear[:, None] + clear[None, :])
+    far = np.zeros(cost.shape, dtype=bool)
+    far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > solver.neighbor_radius
+    cost[far] = np.inf
+    cost[cost >= 1.0] = np.inf
+    np.fill_diagonal(cost, 0.0)
+    f = np.full(pts.shape[0], np.inf)
+    f[n_grid] = 0.0
+    preds = []
+    for _ in range(hops):
+        layer = np.maximum(f[:, None], cost)
+        preds.append(np.argmin(layer, axis=0))  # first index wins ties
+        f = layer.min(axis=0)
+    per_target = {}
+    for t in range(targets.shape[0]):
+        path = [n_grid + 1 + t]
+        val = float(f[path[0]])
+        if not math.isfinite(val):
+            per_target[t] = (val, None)
+            continue
+        for k in range(hops - 1, -1, -1):
+            path.append(int(preds[k][path[-1]]))
+        per_target[t] = (val, pts[np.array(path[::-1])])
+    return per_target
+
+
+SOLVER_DOMAINS = {
+    "disk": (UNIT_DISK, 0.1),
+    "L": (Polygon2D(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], float)), 0.1),
+    "union3": (UnionOfBalls(np.array([[-0.8, 0.0], [0.0, 0.2], [0.8, 0.0]]), np.full(3, 0.5)), 0.08),
+    "ball3d": (Ball(np.zeros(3), 1.0), 0.2),
+    "box3d": (Box(-np.ones(3), np.ones(3)), 0.25),
+}
+
+
+def _interior_points(domain, k, rng):
+    lo, hi = domain.bounding_box()
+    pts = []
+    while len(pts) < k:
+        p = rng.uniform(lo, hi)
+        if domain.clearance(p)[0] > 0.05:
+            pts.append(p)
+    return np.array(pts)
+
+
+class TestSparseSolverMatchesDense:
+    def assert_same(self, solver, start, targets, hops):
+        value, got = solver.solve(start, targets, hops)
+        want = _dense_solve(solver, start, targets, hops)
+        assert value == max(v for v, _ in want.values())
+        for t, (val, poly) in want.items():
+            assert got[t][0] == val
+            if poly is None:
+                assert got[t][1] is None
+            else:
+                assert np.array_equal(got[t][1], poly)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_DOMAINS))
+    @pytest.mark.parametrize("radius", [None, 10.0], ids=["default", "beyond_domain"])
+    def test_seeded_instances(self, name, radius):
+        domain, step = SOLVER_DOMAINS[name]
+        solver = SeparationSolver(domain, step, neighbor_radius=radius)
+        rng = np.random.default_rng(2021)
+        for _ in range(3):
+            pts = _interior_points(domain, 5, rng)
+            for hops in (1, 2, 3):
+                self.assert_same(solver, pts[0], pts[1:], hops)
+
+    def test_unreachable_targets(self):
+        solver = SeparationSolver(UNIT_DISK, 0.1)
+        start = np.array([-0.6, 0.0])
+        targets = np.array([[0.6, 0.0], [-0.5, 0.1]])  # q = 1.5 and q < 1
+        got = self.assert_same(solver, start, targets, 1)
+        assert got[0] == (math.inf, None)
+        assert math.isfinite(got[1][0])
+
+    def test_allocation_ceiling(self):
+        start = np.array([-0.6, 0.1])
+        targets = np.array([[0.5, -0.2], [0.2, 0.6], [-0.1, -0.7], [0.7, 0.3]])
+        tracemalloc.start()
+        try:
+            SeparationSolver(UNIT_DISK, 0.025).solve(start, targets, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestSetHarnackBound:
     def test_zero_q_one_hop(self):
         assert set_harnack_bound(0.0, 1, 2) == 16.0
@@ -166,6 +267,10 @@ class TestSetHarnackBound:
         qs = np.linspace(0, 0.99, 100)
         vals = [set_harnack_bound(q, 2, 2) for q in qs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_overflow_gives_infinity(self):
+        assert set_harnack_bound(0.5, 300, 2) == math.inf  # 2^1200
+        assert set_harnack_bound(1.0 - 1e-15, 100, 2) == math.inf  # (1-q)^100 is 0
 
     def test_sep_above_one_rejected(self):
         with pytest.raises(ValueError, match="sep >= 1"):
