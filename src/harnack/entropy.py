@@ -6,6 +6,15 @@ provides hull-based upper bounds (diameter over certified hull clearance),
 a grid estimator that returns a certified upper estimate together with
 witness polylines, the ball-chain constructor those witnesses support, and
 the resulting Harnack-distance bound (3 * 2^(d-2))^(2*eac + 1).
+
+The grid estimator sweeps a ladder of clearance levels.  At each level it
+builds one directed graph for the whole set: the certified lattice edges
+in both directions, and for every set point a source copy with out-edges
+only and a sink copy with in-edges only, so that a path never relays
+through a third set point.  One Dijkstra call from all source copies then
+gives every pair's shortest certified path at that level.  The edges from
+a point to its nearby lattice nodes are certified once per point, and all
+segment certificates come from one batched clearance evaluation.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .geometry import (
     Domain,
-    certified_segment_clearance,
+    certified_segment_clearances,
     diameter,
     dist_to_complement,
     hull_clearance,
@@ -131,30 +140,14 @@ def _grid_graph(domain: Domain, grid_step: float):
     return nodes, clear, ii, jj, lengths, cert
 
 
-def _special_edges(domain, nodes, p, reach, grid_step):
-    """Edges from an off-grid point p to grid nodes within `reach`."""
-    if nodes.shape[0] == 0:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-    dist = np.linalg.norm(nodes - p, axis=1)
-    near = np.where(dist <= reach + 1e-12)[0]
-    cert = np.array(
-        [
-            certified_segment_clearance(domain, p, nodes[j], grid_step / 2.0)
-            for j in near
-        ]
-    )
-    return near, dist[near], cert
-
-
 def default_clearance_levels(domain: Domain, pts, grid_step: float) -> np.ndarray:
-    """Geometric sweep of clearance levels from the grid step up to the
-    largest point clearance."""
-    p = points_array(pts, domain)
-    top = float(domain.clearance(p).max())
-    lo = min(grid_step, top)
-    if top <= lo:
-        return np.array([top])
-    return np.geomspace(lo, top, DEFAULT_LEVELS)
+    """Geometric sweep of clearance levels up to the largest point clearance,
+    from the grid step or half the least point clearance, whichever is
+    smaller: a point closer to the boundary than about a grid step still
+    gets certified edges to the lattice at the lowest levels."""
+    clear = domain.clearance(points_array(pts, domain))
+    lo = min(grid_step, float(clear.min()) / 2.0)
+    return np.geomspace(lo, float(clear.max()), DEFAULT_LEVELS)
 
 
 def eac_estimate(
@@ -171,6 +164,16 @@ def eac_estimate(
     is always also a candidate at its own certified clearance.  Every
     reported value is an upper estimate of the true entropy because each
     witness polyline is a feasible curve with certified clearance.
+
+    All pairs share one directed graph per level and one Dijkstra call
+    from every set point.  Each set point is split into a source copy with
+    out-edges only and a sink copy with in-edges only, so no path relays
+    through a third set point and the distance from source a to sink b is
+    the shortest path of the graph that holds the lattice and the pair
+    alone.  A point's special edges (to lattice nodes within reach
+    h*sqrt(d)) are certified once, not once per pair, and every segment
+    certificate the estimator needs comes from one batch of clearance
+    calls (certified_segment_clearances).
     """
     p = points_array(pts, domain)
     if p.shape[0] == 0:
@@ -193,95 +196,76 @@ def eac_estimate(
     if np.any(levels <= 0) or np.any(np.diff(levels) < 0):
         raise ValueError("clearance levels must be positive and sorted")
 
-    if p.shape[0] == 1:
+    m = p.shape[0]
+    if m == 1:
         return EacEstimate(0.0, {}, p, grid_step, tuple(levels.tolist()))
 
     nodes, clear, ii, jj, lengths, cert = _grid_graph(domain, grid_step)
     n = nodes.shape[0]
-    d = domain.dim
-    reach = grid_step * math.sqrt(d)
+    reach = grid_step * math.sqrt(domain.dim)
+    pa, pb = np.triu_indices(m, 1)
+    dxy = np.array([float(np.linalg.norm(p[a] - p[b])) for a, b in zip(pa, pb)])
+    direct = np.flatnonzero(dxy <= reach)
+    near, near_dist, owner = [], [], []
+    for a in range(m):
+        to_nodes = np.linalg.norm(nodes - p[a], axis=1)
+        k = np.flatnonzero(to_nodes <= reach + 1e-12)
+        near.append(k)
+        near_dist.append(to_nodes[k])
+        owner.append(np.full(k.size, a))
+    near, near_dist, owner = map(np.concatenate, (near, near_dist, owner))
 
-    per_pair: dict[tuple[int, int], PairRecord] = {}
-    for a in range(p.shape[0]):
-        for b in range(a + 1, p.shape[0]):
-            x, y = p[a], p[b]
-            # straight segment, certified at its own best clearance
-            seg_clear = certified_segment_clearance(domain, x, y, grid_step / 10.0)
-            best = None
-            if seg_clear > 0:
-                best = PairRecord(
-                    float(np.linalg.norm(x - y)) / seg_clear,
-                    seg_clear,
-                    np.vstack([x, y]),
-                )
-            xi, xdist, xcert = _special_edges(domain, nodes, x, reach, grid_step)
-            yi, ydist, ycert = _special_edges(domain, nodes, y, reach, grid_step)
-            dxy = float(np.linalg.norm(x - y))
-            direct_cert = (
-                certified_segment_clearance(domain, x, y, grid_step / 2.0)
-                if dxy <= reach
-                else 0.0
+    # straight segments at h/10, direct edges and special edges at h/2
+    segs = certified_segment_clearances(
+        domain,
+        np.concatenate([p[pa], p[pa[direct]], p[owner]]),
+        np.concatenate([p[pb], p[pb[direct]], nodes[near]]),
+        np.repeat([grid_step / 10.0, grid_step / 2.0], [pa.size, direct.size + near.size]),
+    )
+    seg_clear, direct_cert, near_cert = np.split(segs, [pa.size, pa.size + direct.size])
+
+    # Edges src -> dst with their weight and the highest level at which
+    # they are certified.  Lattice node v is node v; point a's source copy
+    # is node n + a and its sink copy node n + m + a.
+    node_top = clear - grid_step / 2.0
+    grid_top = np.minimum(np.minimum(cert, node_top[ii]), node_top[jj])
+    near_top = np.minimum(near_cert, node_top[near])
+    src = np.concatenate([ii, jj, n + owner, near, n + pa[direct]])
+    dst = np.concatenate([jj, ii, near, n + m + owner, n + m + pb[direct]])
+    weight = np.concatenate([lengths, lengths, near_dist, near_dist, dxy[direct]])
+    top = np.concatenate([grid_top, grid_top, near_top, near_top, direct_cert])
+    size = n + 2 * m
+
+    # the straight segment, certified at its own best clearance
+    best = [
+        PairRecord(float(d) / float(c), float(c), np.vstack([p[a], p[b]])) if c > 0 else None
+        for a, b, d, c in zip(pa, pb, dxy, seg_clear)
+    ]
+    for r in levels:
+        r = float(r)
+        keep = top >= r
+        g = sp.csr_matrix((weight[keep], (src[keep], dst[keep])), shape=(size, size))
+        dist, pred = dijkstra(
+            g, directed=True, indices=n + np.arange(m - 1), return_predecessors=True
+        )
+        for k, (a, b) in enumerate(zip(pa, pb)):
+            d = dist[a, n + m + b]
+            # a record is replaced only by a strictly better ratio
+            if not np.isfinite(d) or (best[k] is not None and best[k].ratio <= d / r):
+                continue
+            path = [pred[a, n + m + b]]
+            while path[-1] != n + a:
+                path.append(pred[a, path[-1]])
+            best[k] = PairRecord(
+                float(d) / r, r, np.vstack([p[a], nodes[path[-2::-1]], p[b]])
             )
-            for r in levels:
-                node_ok = clear - grid_step / 2.0 >= r
-                rec = _level_shortest_path(
-                    nodes, n, ii, jj, lengths, cert, node_ok,
-                    x, y, xi, xdist, xcert, yi, ydist, ycert,
-                    dxy, direct_cert, float(r),
-                )
-                if rec is not None and (best is None or rec.ratio < best.ratio):
-                    best = rec
-            if best is None:
-                best = PairRecord(math.inf, 0.0, np.vstack([x, y]))
-            per_pair[(a, b)] = best
 
+    per_pair = {
+        (int(a), int(b)): rec or PairRecord(math.inf, 0.0, np.vstack([p[a], p[b]]))
+        for a, b, rec in zip(pa, pb, best)
+    }
     value = max((r.ratio for r in per_pair.values()), default=0.0)
     return EacEstimate(value, per_pair, p, grid_step, tuple(levels.tolist()))
-
-
-def _level_shortest_path(
-    nodes, n, ii, jj, lengths, cert, node_ok,
-    x, y, xi, xdist, xcert, yi, ydist, ycert,
-    dxy, direct_cert, r,
-):
-    """Shortest certified path x -> y at clearance level r; None if absent."""
-    rows, cols, data = [], [], []
-    if ii.size:
-        keep = (cert >= r) & node_ok[ii] & node_ok[jj]
-        rows.append(ii[keep])
-        cols.append(jj[keep])
-        data.append(lengths[keep])
-    kx = (xcert >= r) & node_ok[xi]
-    rows.append(np.full(kx.sum(), n))
-    cols.append(xi[kx])
-    data.append(xdist[kx])
-    ky = (ycert >= r) & node_ok[yi]
-    rows.append(np.full(ky.sum(), n + 1))
-    cols.append(yi[ky])
-    data.append(ydist[ky])
-    if direct_cert >= r:
-        rows.append(np.array([n]))
-        cols.append(np.array([n + 1]))
-        data.append(np.array([dxy]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    if rows.size == 0:
-        return None
-    g = sp.csr_matrix((data, (rows, cols)), shape=(n + 2, n + 2))
-    dist, pred = dijkstra(
-        g, directed=False, indices=n, return_predecessors=True
-    )
-    if not np.isfinite(dist[n + 1]):
-        return None
-    path = [n + 1]
-    while path[-1] != n:
-        path.append(pred[path[-1]])
-    path.reverse()
-    coords = np.vstack(
-        [x if k == n else y if k == n + 1 else nodes[k] for k in path]
-    )
-    return PairRecord(float(dist[n + 1]) / r, r, coords)
 
 
 def build_ball_chain(domain: Domain, x, y, C: float, estimate: EacEstimate) -> BallChain:

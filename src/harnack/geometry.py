@@ -10,6 +10,7 @@ package rest on the 1-Lipschitz property of the clearance function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -38,6 +39,7 @@ __all__ = [
     "lattice_neighbors",
     "segment_samples",
     "certified_segment_clearance",
+    "certified_segment_clearances",
 ]
 
 
@@ -94,6 +96,10 @@ class Ball(Domain):
         object.__setattr__(self, "center", c)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("ball center must be a vector with d >= 2")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
+        if not math.isfinite(self.radius):
+            raise ValueError("ball radius must be finite")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
@@ -129,6 +135,10 @@ class Box(Domain):
         object.__setattr__(self, "hi", hi)
         if lo.ndim != 1 or lo.size < 2 or lo.shape != hi.shape:
             raise ValueError("box corners must be matching vectors with d >= 2")
+        if not np.all(np.isfinite(lo)):
+            raise ValueError("box min must be finite")
+        if not np.all(np.isfinite(hi)):
+            raise ValueError("box max must be finite")
         if not np.all(hi > lo):
             raise ValueError("box must have positive extent on every axis")
 
@@ -195,6 +205,8 @@ class Polygon2D(Domain):
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 vertices in R^2")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
         # signed area > 0 <=> counterclockwise
         x, y = v[:, 0], v[:, 1]
         area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
@@ -268,6 +280,10 @@ class UnionOfBalls(Domain):
         object.__setattr__(self, "radii", r)
         if c.ndim != 2 or c.shape[1] < 2 or r.shape != (c.shape[0],):
             raise ValueError("union of balls needs centers (n, d>=2) and n radii")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("union ball centers must be finite")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("union ball radii must be finite")
         if not np.all(r > 0):
             raise ValueError("all radii must be positive")
         # pairwise-overlap graph must be connected
@@ -375,6 +391,12 @@ def diameter(pts) -> float:
     return float(d.max())
 
 
+def _subdivisions(length: float, resolution: float) -> int:
+    """Pieces of a segment of positive length: the least power of two
+    whose pieces are no longer than resolution."""
+    return 1 << max(0, math.ceil(math.log2(length / resolution)))
+
+
 def segment_samples(a, b, resolution: float) -> tuple[np.ndarray, float]:
     """Uniform samples on [a, b] with spacing <= resolution.
 
@@ -387,7 +409,7 @@ def segment_samples(a, b, resolution: float) -> tuple[np.ndarray, float]:
     length = float(np.linalg.norm(b - a))
     if length == 0.0:
         return a[None, :], 0.0
-    n = 1 << max(0, math.ceil(math.log2(length / resolution)))
+    n = _subdivisions(length, resolution)
     t = np.linspace(0.0, 1.0, n + 1)
     return a + t[:, None] * (b - a), length / n
 
@@ -397,6 +419,42 @@ def certified_segment_clearance(domain: Domain, a, b, resolution: float) -> floa
     samples, spacing = segment_samples(a, b, resolution)
     m = float(domain.clearance(samples).min())
     return max(0.0, m - spacing / 2.0)
+
+
+SEGMENT_BATCH_SAMPLES = 1 << 18  # bounds the samples, and so the memory, of one clearance call
+
+
+def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray:
+    """certified_segment_clearance of every segment [a[k], b[k]] of two
+    (k, d) point arrays, from one clearance call over all their samples.
+
+    resolution is a scalar or one value per segment.  The samples,
+    spacings and certificates are those of the per-segment function, float
+    for float.  The call is split once a batch holds SEGMENT_BATCH_SAMPLES
+    samples, so that many long segments do not make one huge array.
+    """
+    a = np.asarray(a, dtype=float)
+    diff = np.asarray(b, dtype=float) - a
+    low, spacing, batch, starts, size = [], [], [], [], 0
+    for p, v, r in zip(a, diff, np.full(len(a), resolution).tolist()):
+        # sqrt(v . v) is the np.linalg.norm(v) of segment_samples; the
+        # row-wise norm of a matrix rounds differently in the last bit
+        length = math.sqrt(v.dot(v))
+        n = _subdivisions(length, r) if length > 0.0 else 1  # 0-length: spacing 0
+        # i * (v / n) rounds as linspace's (i / n) * v: both quotients are
+        # exact, n being a power of two.  Coordinates run along rows here,
+        # which is faster than broadcasting over rows of length d.
+        batch.append(p[:, None] + (v / n)[:, None] * np.arange(n + 1.0))
+        spacing.append(length / n)
+        starts.append(size)
+        size += n + 1
+        if size >= SEGMENT_BATCH_SAMPLES or len(spacing) == len(a):
+            # in C order, the layout of segment_samples, so that each shape's
+            # clearance arithmetic (BLAS products included) sees the same input
+            samples = np.concatenate(batch, axis=1).T.copy()
+            low.append(np.minimum.reduceat(domain.clearance(samples), starts))
+            batch, starts, size = [], [], 0
+    return np.maximum(0.0, np.concatenate(low) - np.array(spacing) / 2.0)
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -472,10 +530,8 @@ def hull_clearance(
         z = np.asarray(star_center, dtype=float)
         if not contains(domain, z):
             raise ValueError("star center must be inside the domain")
-        cert = min(
-            certified_segment_clearance(domain, z, q, resolution) for q in p
-        )
-        return max(0.0, cert)
+        star = certified_segment_clearances(domain, np.broadcast_to(z, p.shape), p, resolution)
+        return float(star.min())
 
     if hull_kind == "segmental":
         return _segmental_clearance(domain, p, resolution)
@@ -499,12 +555,11 @@ def hull_clearance(
 
 
 def _segmental_clearance(domain: Domain, p: np.ndarray, resolution: float) -> float:
+    # Each point starts a segment, whose certificate is at most the clearance
+    # at its first sample, the point: so the minimum also bounds the points.
     n = p.shape[0]
-    cert = float(domain.clearance(p).min())
-    for i in range(n):
-        for j in range(i + 1, n):
-            cert = min(cert, certified_segment_clearance(domain, p[i], p[j], resolution))
-    return max(0.0, cert)
+    i, j = np.array([*itertools.combinations(range(n), 2), (n - 1, n - 1)]).T
+    return float(certified_segment_clearances(domain, p[i], p[j], resolution).min())
 
 
 def _convex_region_clearance(domain: Domain, hull: np.ndarray, h: float) -> float:

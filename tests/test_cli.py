@@ -1,13 +1,21 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from harnack import geometry
 from harnack.cli import main
+from harnack.entropy import EacEstimate, PairRecord, build_ball_chain
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+# 8 points in the three-ball union at clearance 0.02-0.06
+NEAR_BOUNDARY = np.array(
+    [[-0.603, -0.415], [-0.083, 0.658], [1.035, -0.405], [-0.334, 0.501],
+     [-1.19, -0.21], [1.217, 0.178], [-0.934, 0.436], [0.867, -0.475]]
+)
 
 
 def schema(name):
@@ -120,6 +128,31 @@ class TestSandwich:
         assert main(["sandwich", "--domain", disk_file, "--pair=0,0;2,0"]) == 2
 
 
+class TestNonFiniteDomain:
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ({"type": "ball", "center": [0, 0], "radius": math.inf}, "ball radius must be finite"),
+            ({"type": "ball", "center": [math.nan, 0], "radius": 1}, "ball center must be finite"),
+            ({"type": "box", "min": [-1, -1], "max": [1, math.inf]}, "box max must be finite"),
+            (
+                {"type": "polygon", "vertices": [[0, 0], [2, 0], [math.nan, 2], [0, 2]]},
+                "polygon vertices must be finite",
+            ),
+            (
+                {"type": "union_of_balls", "balls": [{"center": [0, 0], "radius": math.inf}]},
+                "union ball radii must be finite",
+            ),
+        ],
+        ids=["ball-radius", "ball-center", "box", "polygon", "union"],
+    )
+    def test_refused_with_the_field_named(self, capsys, tmp_path, shape, message):
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps({"dim": 2, "shape": shape}))  # writes Infinity / NaN
+        assert main(["sandwich", "--domain", str(path), "--pair=0.1,0.1;0.2,0.1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestSet:
     def test_eac(self, capsys, disk_file, pair_file):
         code, out = run(
@@ -131,6 +164,29 @@ class TestSet:
         jsonschema.validate(report, schema("set_report.schema.json"))
         assert 2.0 <= report["eac"]["value"] <= 2.1
         assert report["eac_harnack_bound"]["sharp"] > 1.0
+
+    def test_eac_finite_for_points_near_the_boundary(self, capsys, union3_file, tmp_path):
+        # every point within 1.25 grid steps of the boundary: the clearance
+        # levels once started at the grid step and left this set null
+        pts = tmp_path / "near.json"
+        pts.write_text(json.dumps({"points": NEAR_BOUNDARY.tolist()}))
+        argv = ["set", "eac", "--domain", union3_file, "--set", str(pts), "--grid", "0.05"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("set_report.schema.json"))
+        assert report["eac"]["value"] is not None
+        per_pair = {
+            tuple(rec["pair"]): PairRecord(
+                rec["ratio"], rec["clearance"], np.array(rec["polyline"])
+            )
+            for rec in report["eac"]["per_pair"]
+        }
+        est = EacEstimate(report["eac"]["value"], per_pair, NEAR_BOUNDARY, 0.05, ())
+        domain = geometry.load_domain(union3_file)
+        for (i, j), rec in per_pair.items():
+            x, y = NEAR_BOUNDARY[i], NEAR_BOUNDARY[j]
+            build_ball_chain(domain, x, y, rec.ratio * (1 + 1e-9), est)
 
     def test_sep(self, capsys, disk_file, pair_file):
         code, out = run(

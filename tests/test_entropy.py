@@ -2,16 +2,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from harnack import entropy
 from harnack.entropy import (
     GridDimensionError,
+    PairRecord,
     _grid_graph,
     build_ball_chain,
+    default_clearance_levels,
     eac_estimate,
     eac_harnack_bound,
     eac_hull_bound,
 )
-from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls, lattice_points
+from harnack.geometry import (
+    Ball,
+    Box,
+    Polygon2D,
+    UnionOfBalls,
+    certified_segment_clearance,
+    lattice_points,
+)
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -211,3 +222,196 @@ def test_grid_graph_matches_dict_loop(domain, step):
     assert ii.size > 0
     for got, ref in zip((ii, jj, lengths, cert), want):
         assert np.array_equal(got, ref)
+
+
+# --- the per-pair estimator: one graph and one Dijkstra call per pair and level
+
+
+def _special_edges(domain, nodes, p, reach, grid_step):
+    if nodes.shape[0] == 0:
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+    dist = np.linalg.norm(nodes - p, axis=1)
+    near = np.where(dist <= reach + 1e-12)[0]
+    cert = np.array(
+        [certified_segment_clearance(domain, p, nodes[j], grid_step / 2.0) for j in near]
+    )
+    return near, dist[near], cert
+
+
+def _level_shortest_path(
+    nodes, n, ii, jj, lengths, cert, node_ok,
+    x, y, xi, xdist, xcert, yi, ydist, ycert,
+    dxy, direct_cert, r,
+):
+    rows, cols, data = [], [], []
+    if ii.size:
+        keep = (cert >= r) & node_ok[ii] & node_ok[jj]
+        rows.append(ii[keep])
+        cols.append(jj[keep])
+        data.append(lengths[keep])
+    kx = (xcert >= r) & node_ok[xi]
+    rows.append(np.full(kx.sum(), n))
+    cols.append(xi[kx])
+    data.append(xdist[kx])
+    ky = (ycert >= r) & node_ok[yi]
+    rows.append(np.full(ky.sum(), n + 1))
+    cols.append(yi[ky])
+    data.append(ydist[ky])
+    if direct_cert >= r:
+        rows.append(np.array([n]))
+        cols.append(np.array([n + 1]))
+        data.append(np.array([dxy]))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
+    if rows.size == 0:
+        return None
+    g = sp.csr_matrix((data, (rows, cols)), shape=(n + 2, n + 2))
+    dist, pred = entropy.dijkstra(g, directed=False, indices=n, return_predecessors=True)
+    if not np.isfinite(dist[n + 1]):
+        return None
+    path = [n + 1]
+    while path[-1] != n:
+        path.append(pred[path[-1]])
+    path.reverse()
+    coords = np.vstack([x if k == n else y if k == n + 1 else nodes[k] for k in path])
+    return PairRecord(float(dist[n + 1]) / r, r, coords)
+
+
+def per_pair_estimate(domain, p, grid_step, levels):
+    """Reference estimator: every pair and level gets its own graph with
+    the lattice and that pair alone."""
+    nodes, clear, ii, jj, lengths, cert = _grid_graph(domain, grid_step)
+    n = nodes.shape[0]
+    reach = grid_step * math.sqrt(domain.dim)
+    per_pair = {}
+    for a in range(p.shape[0]):
+        for b in range(a + 1, p.shape[0]):
+            x, y = p[a], p[b]
+            seg_clear = certified_segment_clearance(domain, x, y, grid_step / 10.0)
+            best = None
+            if seg_clear > 0:
+                ratio = float(np.linalg.norm(x - y)) / seg_clear
+                best = PairRecord(ratio, seg_clear, np.vstack([x, y]))
+            xi, xdist, xcert = _special_edges(domain, nodes, x, reach, grid_step)
+            yi, ydist, ycert = _special_edges(domain, nodes, y, reach, grid_step)
+            dxy = float(np.linalg.norm(x - y))
+            direct_cert = (
+                certified_segment_clearance(domain, x, y, grid_step / 2.0) if dxy <= reach else 0.0
+            )
+            for r in levels:
+                node_ok = clear - grid_step / 2.0 >= r
+                rec = _level_shortest_path(
+                    nodes, n, ii, jj, lengths, cert, node_ok,
+                    x, y, xi, xdist, xcert, yi, ydist, ycert,
+                    dxy, direct_cert, float(r),
+                )
+                if rec is not None and (best is None or rec.ratio < best.ratio):
+                    best = rec
+            per_pair[(a, b)] = best or PairRecord(math.inf, 0.0, np.vstack([x, y]))
+    return per_pair
+
+
+L_POLYGON = Polygon2D(np.array([[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]], float))
+UNION3 = UnionOfBalls(np.array([[-0.8, 0.0], [0.0, 0.2], [0.8, 0.0]]), np.full(3, 0.5))
+BALL3 = Ball(np.zeros(3), 1.0)
+BOX3 = Box(-np.ones(3), np.array([1.0, 0.5, 1.0]))
+# 8 points of UNION3 at clearance 0.02-0.06, all closer to the boundary than 1.25 grid steps of 0.05
+NEAR_BOUNDARY = np.array(
+    [[-0.603, -0.415], [-0.083, 0.658], [1.035, -0.405], [-0.334, 0.501],
+     [-1.19, -0.21], [1.217, 0.178], [-0.934, 0.436], [0.867, -0.475]]
+)
+
+
+def seeded_points(domain, m, floor, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box()
+    pts = np.round(rng.uniform(lo, hi, size=(100 * m, domain.dim)), 6)
+    return pts[domain.clearance(pts) >= floor][:m]
+
+
+def former_levels(domain, p, grid_step):
+    """The sweep from the grid step up, which left NEAR_BOUNDARY without witnesses."""
+    return np.geomspace(grid_step, domain.clearance(p).max(), 24)
+
+
+ORACLE_CASES = {
+    # name: (domain, points, grid step, explicit levels or None)
+    "disk-pair-on-lattice": (UNIT_DISK, PAIR, 0.05, None),
+    "disk-direct-edge": (UNIT_DISK, np.array([[0.1, 0.12], [0.13, 0.1], [-0.4, 0.3]]), 0.05, None),
+    "L-8": (L_POLYGON, seeded_points(L_POLYGON, 8, 0.05, 1), 0.1, None),
+    "L-3-explicit": (
+        L_POLYGON, seeded_points(L_POLYGON, 3, 0.1, 2), 0.05, np.geomspace(0.02, 0.4, 9)
+    ),
+    "union-3-high-levels": (
+        UNION3, np.array([[-0.9, 0.1], [0.0, 0.3], [0.85, -0.1]]), 0.05, np.geomspace(0.03, 0.9, 12)
+    ),
+    "union-8": (UNION3, seeded_points(UNION3, 8, 0.1, 3), 0.05, None),
+    "union-near-boundary-former-levels": (
+        UNION3, NEAR_BOUNDARY, 0.05, former_levels(UNION3, NEAR_BOUNDARY, 0.05)
+    ),
+    "ball3d-3": (BALL3, seeded_points(BALL3, 3, 0.1, 4), 0.2, None),
+    "box3d-8": (BOX3, seeded_points(BOX3, 8, 0.1, 5), 0.25, np.geomspace(0.05, 0.5, 6)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_batched_estimator_matches_per_pair_graphs(name):
+    domain, p, grid_step, levels = ORACLE_CASES[name]
+    est = eac_estimate(domain, p, grid_step, levels)
+    want = per_pair_estimate(domain, p, grid_step, est.clearance_levels)
+    assert est.per_pair.keys() == want.keys()
+    for key, rec in est.per_pair.items():
+        ref = want[key]
+        assert rec.ratio == pytest.approx(ref.ratio, rel=1e-12, abs=0)
+        assert rec.clearance == ref.clearance
+        if math.isfinite(rec.ratio):
+            build_ball_chain(domain, p[key[0]], p[key[1]], rec.ratio * (1 + 1e-9), est)
+
+
+def test_oracle_cases_reach_the_special_paths():
+    # a direct edge, a level without any path, and a pair without witness
+    _, p, h, _ = ORACLE_CASES["disk-direct-edge"]
+    assert np.linalg.norm(p[0] - p[1]) <= h * math.sqrt(2)
+    domain, p, h, levels = ORACLE_CASES["union-3-high-levels"]
+    assert levels[-1] > domain.clearance(lattice_points(domain, h)).max()
+    domain, p, h, levels = ORACLE_CASES["union-near-boundary-former-levels"]
+    assert not math.isfinite(eac_estimate(domain, p, h, levels).value)
+
+
+def test_near_boundary_set_gets_witnesses():
+    est = eac_estimate(UNION3, NEAR_BOUNDARY, 0.05)
+    assert est.clearance_levels[0] == pytest.approx(UNION3.clearance(NEAR_BOUNDARY).min() / 2)
+    assert math.isfinite(est.value)
+    for (i, j), rec in est.per_pair.items():
+        build_ball_chain(UNION3, NEAR_BOUNDARY[i], NEAR_BOUNDARY[j], rec.ratio * (1 + 1e-9), est)
+
+
+def test_levels_unchanged_when_points_are_two_steps_inside():
+    p = seeded_points(L_POLYGON, 12, 0.1, 6)
+    levels = default_clearance_levels(L_POLYGON, p, 0.05)
+    assert np.array_equal(levels, former_levels(L_POLYGON, p, 0.05))
+
+
+def test_dijkstra_once_per_level_and_clearance_calls_independent_of_set_size(monkeypatch):
+    calls = {"dijkstra": 0, "clearance": 0}
+    dijkstra, clearance = entropy.dijkstra, Polygon2D.clearance
+
+    def counting_dijkstra(*args, **kwargs):
+        calls["dijkstra"] += 1
+        return dijkstra(*args, **kwargs)
+
+    def counting_clearance(self, pts):
+        calls["clearance"] += 1
+        return clearance(self, pts)
+
+    points = seeded_points(L_POLYGON, 12, 0.1, 7)
+    monkeypatch.setattr(entropy, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(Polygon2D, "clearance", counting_clearance)
+    clearance_calls = []
+    for m in (3, 12):
+        calls.update(dijkstra=0, clearance=0)
+        est = eac_estimate(L_POLYGON, points[:m], 0.05)
+        assert calls["dijkstra"] == len(est.clearance_levels)
+        clearance_calls.append(calls["clearance"])
+    assert clearance_calls[0] == clearance_calls[1]

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from harnack import geometry
 from harnack.geometry import (
     Ball,
     Box,
     PointSet,
     Polygon2D,
     UnionOfBalls,
+    certified_segment_clearance,
+    certified_segment_clearances,
     contains,
     diameter,
     dist_to_complement,
@@ -22,6 +25,20 @@ from harnack.geometry import (
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+SEGMENT_DOMAINS = {
+    "disk": UNIT_DISK,
+    "L": Polygon2D(np.array([[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]], float)),
+    "union3": UnionOfBalls(np.array([[-0.8, 0.0], [0.0, 0.2], [0.8, 0.0]]), np.full(3, 0.5)),
+    "ball3d": Ball(np.array([0.1, 0.0, -0.2]), 1.0),
+    "box3d": Box(-np.ones(3), np.array([1.0, 0.5, 1.0])),
+}
+
+
+def interior_points(domain, n, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box()
+    pts = rng.uniform(lo, hi, size=(50 * n, domain.dim))
+    return pts[domain.clearance(pts) > 0][:n]
 
 
 class TestDistToComplement:
@@ -149,6 +166,55 @@ class TestHullClearance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hull_clearance(UNIT_BOX, np.zeros((0, 2)), "segmental", 1e-3)
+
+    @pytest.mark.parametrize("name", SEGMENT_DOMAINS)
+    def test_segmental_and_star_match_per_segment_loop(self, name):
+        domain = SEGMENT_DOMAINS[name]
+        res = 1e-3 * domain.bounding_diameter()
+        for n in (1, 2, 7):
+            p = interior_points(domain, n, seed=n)
+            seg = float(domain.clearance(p).min())
+            for i in range(n):
+                for j in range(i + 1, n):
+                    seg = min(seg, certified_segment_clearance(domain, p[i], p[j], res))
+            assert hull_clearance(domain, p, "segmental", res) == max(0.0, seg)
+            z = p[0]
+            star = min(certified_segment_clearance(domain, z, q, res) for q in p)
+            assert hull_clearance(domain, p, "star", res, star_center=z) == max(0.0, star)
+
+
+class TestSegmentClearances:
+    @pytest.mark.parametrize("name", SEGMENT_DOMAINS)
+    def test_matches_per_segment_function(self, name):
+        domain = SEGMENT_DOMAINS[name]
+        rng = np.random.default_rng(11)
+        lo, hi = domain.bounding_box()
+        a = rng.uniform(lo, hi, size=(60, domain.dim))
+        b = rng.uniform(lo, hi, size=(60, domain.dim))
+        b[::6] = a[::6]  # zero-length segments
+        res = rng.uniform(1e-3, 0.5, size=60)
+        want = [certified_segment_clearance(domain, p, q, r) for p, q, r in zip(a, b, res)]
+        assert np.array_equal(certified_segment_clearances(domain, a, b, res), want)
+        want = [certified_segment_clearance(domain, p, q, 0.01) for p, q in zip(a, b)]
+        assert np.array_equal(certified_segment_clearances(domain, a, b, 0.01), want)
+
+    def test_large_batches_are_split(self, monkeypatch):
+        a = interior_points(UNIT_DISK, 20, seed=1)
+        b = interior_points(UNIT_DISK, 20, seed=2)
+        want = [certified_segment_clearance(UNIT_DISK, p, q, 0.02) for p, q in zip(a, b)]
+        calls = []
+        clearance = Ball.clearance
+
+        def counting_clearance(self, p):
+            calls.append(len(p))
+            return clearance(self, p)
+
+        monkeypatch.setattr(Ball, "clearance", counting_clearance)
+        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 100)
+        got = certified_segment_clearances(UNIT_DISK, a, b, 0.02)
+        # a batch closes at 100 samples; one disk segment has at most 129
+        assert len(calls) > 1 and max(calls) < 100 + 129
+        assert np.array_equal(got, want)
 
 
 class TestEnclosingBall:
