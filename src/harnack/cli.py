@@ -6,7 +6,8 @@ round-half-even) so that reports double as reproducible certificates.
 
 Exit codes: 0 success, 1 sandwich consistency failure (implementation
 bug by design), 2 unparseable input or exterior points, 3 grid-solver
-dimension refusal.
+dimension refusal, 4 grid step refused because its lattice would exceed
+`geometry.LATTICE_BUDGET` candidates.
 """
 
 from __future__ import annotations
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except entropy.GridDimensionError as e:
         sys.stderr.write(f"error: {e}\n(hull bounds remain available for d > 3)\n")
         return 3
+    except geometry.LatticeBudgetError as e:
+        sys.stderr.write(f"error: {e}\n(use a coarser --grid)\n")
+        return 4
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

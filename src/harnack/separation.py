@@ -11,11 +11,15 @@ The program runs on a sparse edge list: grid-grid edges within a neighbor
 radius (from integer lattice offsets), edges from the start and the targets
 to every grid node, edges among the start and the targets, and zero-cost
 self-edges.  Memory is O(N k + m N) for N grid nodes, k lattice offsets in
-the radius and m targets.  Ties go to the lowest predecessor index.
+the radius and m targets.  Ties go to the lowest predecessor index.  The
+grid-grid edges are built on the first solve of three or more hops only: a
+path of at most two hops leaves the start and enters a target, so it never
+takes one, and values, ties and witnesses stay those of the full edge list.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +132,9 @@ class SeparationResult:
     grid_step: float
 
 
+_NO_EDGES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
 class SeparationSolver:
     """Hop-limited minimax path solver on a grid discretization of a domain.
 
@@ -143,6 +150,14 @@ class SeparationSolver:
     Memory is O(N k + m N) for N grid nodes, k offsets inside the radius
     and m targets.  Each hop relaxes every edge, and a node's predecessor
     is the lowest-indexed one that attains its minimum.
+
+    The grid-grid edges are built on the first solve with hops >= 3 and
+    kept for later solves; a solve with hops <= 2 relaxes the other edges
+    only.  That is exact: at hop 1 only the start has a finite value, so a
+    grid node's finite value and its predecessor come from its edge from
+    the start, and at hop 2 only the values of the targets are read, whose
+    in-edges come from grid nodes, the start and the targets.  Values, the
+    tie rule and the witness polylines are those of the full edge list.
     """
 
     def __init__(self, domain: Domain, grid_step: float, neighbor_radius: float | None = None):
@@ -163,13 +178,14 @@ class SeparationSolver:
             if self.nodes.shape[0]
             else np.zeros(0)
         )
-        self._grid_edges = self._neighbor_edges()
 
-    def _neighbor_edges(self):
-        """Grid-grid edges (src, dst, cost) in both directions."""
+    @functools.cached_property
+    def _grid_edges(self):
+        """Grid-grid edges (src, dst, cost) in both directions, built on the
+        first solve that can use them."""
         nodes, clear = self.nodes, self.clear
         if nodes.shape[0] == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+            return _NO_EDGES
         # a slightly wider integer reach, so that the float test below decides
         reach = self.neighbor_radius / self.grid_step * (1.0 + 1e-9)
         span = np.rint(np.ptp(nodes, axis=0) / self.grid_step)
@@ -206,7 +222,9 @@ class SeparationSolver:
         p, q = np.nonzero(cost < 1.0)
         among = cost[p, q]
         ids = np.arange(n)
-        src_g, dst_g, cost_g = self._grid_edges
+        # a path of at most two hops leaves the start and enters a target,
+        # so it never takes a grid-grid edge
+        src_g, dst_g, cost_g = self._grid_edges if hops >= 3 else _NO_EDGES
         src = np.concatenate([src_g, a, g, p + n_grid, ids])
         dst = np.concatenate([dst_g, g, a, q + n_grid, ids])
         cost = np.concatenate([cost_g, to_grid, to_grid, among, np.zeros(n)])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -238,6 +239,34 @@ class TestSet:
              "--start=0,0,0,0", "--hops", "1", "--grid", "0.5"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sandwich", "--pair=-0.5,0;0.5,0"],
+            ["set", "eac", "--set", "PAIRS"],
+            ["set", "bound", "--set", "PAIRS", "--start=-0.4,0"],
+        ],
+        ids=["sandwich", "set-eac", "set-bound"],
+    )
+    def test_lattice_budget_refusal_exits_4(self, capsys, monkeypatch, disk_file, pair_file, argv):
+        # the unit disk at h = 1e-4 has about 4e8 lattice candidates (6 GB of
+        # coordinates); the refusal must come from the count, before any mesh
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("lattice mesh built before the budget check")
+
+        monkeypatch.setattr(np, "meshgrid", no_mesh)
+        argv = [pair_file if a == "PAIRS" else a for a in argv]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--domain", disk_file, "--grid", "1e-4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 8 * 2**20
+        err = capsys.readouterr().err
+        assert "lattice candidates" in err and "coarser --grid" in err
 
     def test_determinism(self, capsys, disk_file, pair_file):
         argv = ["set", "eac", "--domain", disk_file, "--set", pair_file, "--grid", "0.1"]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,3 +327,158 @@ class TestLattice:
         nodes = lattice_points(UNIT_BOX, 0.2)
         assert nodes.shape == (81, 2)
         assert np.all(UNIT_BOX.clearance(nodes) > 0)
+
+    def test_candidates_match_the_mesh_size(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3):
+            for _ in range(20):
+                lo = rng.uniform(-2.0, 1.0, d)
+                for domain in (
+                    Box(lo, lo + rng.uniform(0.05, 1.5, d)),
+                    Ball(lo, rng.uniform(0.05, 1.0)),
+                ):
+                    step = rng.uniform(0.04, 0.3)
+                    axes = [
+                        np.arange(math.ceil(l / step), math.floor(h / step) + 1) * step
+                        for l, h in zip(*domain.bounding_box())
+                    ]
+                    mesh = np.meshgrid(*axes, indexing="ij")[0]
+                    assert geometry.lattice_candidates(domain, step) == mesh.size
+
+    def test_budget_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(geometry.LatticeBudgetError, match="lattice candidates"):
+                lattice_points(UNIT_DISK, 1e-4)
+            with pytest.raises(geometry.LatticeBudgetError, match="inf lattice candidates"):
+                lattice_points(UNIT_DISK, 1e-320)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lattice_points(UNIT_DISK, step)
+
+    def test_budget_admits_its_own_size(self, monkeypatch):
+        class MeshBuilt(Exception):
+            pass
+
+        def mesh(*args, **kwargs):  # past the budget check, before allocating
+            raise MeshBuilt
+
+        monkeypatch.setattr(np, "meshgrid", mesh)
+        # 2048 x 2048 = 2^22 candidates in the square [0, 2047 h]^2
+        step = 0.5
+        square = Box(np.zeros(2), np.full(2, 2047 * step))
+        assert geometry.lattice_candidates(square, step) == geometry.LATTICE_BUDGET
+        with pytest.raises(MeshBuilt):
+            lattice_points(square, step)
+        wider = Box(np.zeros(2), np.array([2047 * step, 2048 * step]))
+        with pytest.raises(geometry.LatticeBudgetError):
+            lattice_points(wider, step)
+
+
+def _row_clearance(domain, p):
+    """The former clearances, broadcast over the rows of an (n, d) array."""
+    if isinstance(domain, Ball):
+        return np.maximum(0.0, domain.radius - np.linalg.norm(p - domain.center, axis=1))
+    if isinstance(domain, Box):
+        return np.maximum(0.0, np.minimum(p - domain.lo, domain.hi - p).min(axis=1))
+    d = np.linalg.norm(p[:, None, :] - domain.centers[None, :, :], axis=2)
+    return np.maximum(0.0, (domain.radii[None, :] - d).max(axis=1))
+
+
+class TestColumnClearance:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("shape", ["ball", "box", "union"])
+    def test_equal_to_the_row_wise_expressions(self, shape, dim):
+        rng = np.random.default_rng(dim)
+        if shape == "ball":
+            domain = Ball(rng.uniform(-0.3, 0.3, dim), 0.9)
+        elif shape == "box":
+            domain = Box(-np.ones(dim), np.array([1.0, 0.5, 1.0])[:dim])
+        else:
+            centers = np.array([[-0.8, 0.0, 0.1], [0.0, 0.2, 0.0], [0.8, 0.0, -0.1]])[:, :dim]
+            domain = UnionOfBalls(centers, np.array([0.5, 0.6, 0.5]))
+        p = rng.uniform(-1.5, 1.5, size=(100_000, dim))
+        assert np.array_equal(domain.clearance(p), _row_clearance(domain, p))
+        assert np.array_equal(domain.clearance(p[:0]), np.zeros(0))
+
+
+def _searchsorted_neighbors(nodes, step, offsets):
+    """The former lookup: one searchsorted pass over the sorted keys per offset."""
+    keys = np.rint(nodes / step).astype(np.int64)
+    n = keys.shape[0]
+    ii, jj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    if n:
+        lo = keys.min(axis=0)
+        ext = keys.max(axis=0) - lo + 1
+        keys -= lo
+        flat = np.ravel_multi_index(keys.T, ext)
+        order = np.argsort(flat)
+        flat = flat[order]
+        for o in np.asarray(offsets, dtype=np.int64).reshape(-1, keys.shape[1]):
+            moved = keys + o
+            i = np.flatnonzero(np.all((moved >= 0) & (moved < ext), axis=1))
+            want = np.ravel_multi_index(moved[i].T, ext)
+            pos = np.minimum(np.searchsorted(flat, want), n - 1)
+            hit = flat[pos] == want
+            ii.append(i[hit])
+            jj.append(order[pos[hit]])
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+NEIGHBOR_LATTICES = {
+    "disk": (UNIT_DISK, 0.1),
+    "shifted_disk": (Ball(np.array([-3.3, -1.7]), 0.6), 0.07),  # negative keys only
+    "L": (SEGMENT_DOMAINS["L"], 0.1),
+    "union3": (SEGMENT_DOMAINS["union3"], 0.08),
+    "ball3d": (SEGMENT_DOMAINS["ball3d"], 0.2),
+    "box3d": (SEGMENT_DOMAINS["box3d"], 0.25),
+}
+
+
+class TestLatticeNeighbors:
+    def assert_same(self, nodes, step, offsets):
+        got = geometry.lattice_neighbors(nodes, step, offsets)
+        want = _searchsorted_neighbors(nodes, step, offsets)
+        for g, w in zip(got, want):
+            assert g.dtype == np.intp
+            assert np.array_equal(g, w)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(NEIGHBOR_LATTICES))
+    def test_matches_the_searchsorted_loop(self, name):
+        domain, step = NEIGHBOR_LATTICES[name]
+        nodes = lattice_points(domain, step)
+        keys = np.rint(nodes / step).astype(np.int64)
+        span = keys.max(axis=0) - keys.min(axis=0)
+        half = geometry.lattice_half_offsets
+        for bounds in ((1,) * domain.dim, (4,) * domain.dim):
+            self.assert_same(nodes, step, half(bounds))
+        # clamped to the span, as the separation solver's offsets are
+        self.assert_same(nodes, step, half(np.minimum(span, 6)))
+        # a radius beyond the domain: offsets longer than the span on every axis
+        assert len(self.assert_same(nodes, step, half(span + 2))[0]) > 0
+        # a single offset longer than the span on one axis only
+        long = np.zeros((1, domain.dim), dtype=np.int64)
+        long[0, 0] = span[0] + 1
+        assert self.assert_same(nodes, step, long)[0].size == 0
+
+    def test_unsorted_nodes_and_mixed_signs(self):
+        nodes = lattice_points(UNIT_DISK, 0.1)[::-1].copy()
+        rng = np.random.default_rng(3)
+        nodes = nodes[rng.permutation(nodes.shape[0])]
+        self.assert_same(nodes, 0.1, np.array([[1, -2], [0, 3], [2, 2], [-1, 1]]))
+
+    def test_empty_offsets(self):
+        nodes = lattice_points(UNIT_DISK, 0.1)
+        ii, jj = self.assert_same(nodes, 0.1, np.zeros((0, 2), dtype=np.int64))
+        assert ii.size == jj.size == 0
+
+    def test_empty_node_set(self):
+        ii, jj = self.assert_same(np.zeros((0, 3)), 0.1, geometry.lattice_half_offsets((1, 1, 1)))
+        assert ii.size == jj.size == 0

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harnack import separation
 from harnack.exact import disk_harnack_two_points
-from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls
+from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls, lattice_neighbors
 from harnack.separation import (
     SeparationQuery,
     SeparationSolver,
@@ -249,6 +250,34 @@ class TestSparseSolverMatchesDense:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestGridEdgesOnDemand:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+
+        def counting(*args):
+            count.append(1)
+            return lattice_neighbors(*args)
+
+        monkeypatch.setattr(separation, "lattice_neighbors", counting)
+        return count
+
+    def test_two_hops_build_no_grid_edges(self, calls):
+        solver = SeparationSolver(UNIT_DISK, 0.1)
+        start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
+        for hops in (1, 2, 1, 2):
+            solver.solve(start, targets, hops)
+        set_separation(SeparationQuery(UNIT_DISK, start, targets, 2, 0.1))
+        assert calls == []
+
+    def test_three_hops_build_them_once(self, calls):
+        solver = SeparationSolver(UNIT_DISK, 0.1)
+        start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
+        for t in range(3):
+            solver.solve(start, targets[t % 2 :], 3)
+        assert calls == [1]
 
 
 class TestSetHarnackBound:
