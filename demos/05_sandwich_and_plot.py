@@ -1,10 +1,10 @@
 """End-to-end sandwich report and an SVG picture, via the CLI entry point.
 
 The `sandwich` subcommand gathers everything the library can certify for
-one pair of points: a lower bound (enclosing ball / Poisson witnesses),
-every applicable upper bound (one-step pair bound, entropy bound, relay
-set bound, chain bound), and — when the domain is a disk — the exact
-value, then checks that lower <= exact <= uppers actually holds.
+one pair of points: a lower bound (the Poisson witness of an enclosing
+ball), every applicable upper bound (one-step pair bound, entropy bound,
+relay set bound, chain bound), and — when the domain is a ball — the
+exact value, then checks that lower <= exact <= uppers actually holds.
 
 This script drives the CLI in-process, prints the JSON report, and
 renders the domain, the pair, and a connecting ball chain to SVG.

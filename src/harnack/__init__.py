@@ -2,8 +2,8 @@
 
 The package computes a sandwich around the Harnack distance between points
 of a bounded domain: exact values where a closed form exists (balls, the
-planar disk), certified lower bounds via enclosing balls and Poisson-kernel
-witnesses, and certified upper bounds via the entropy of linear
+planar disk), certified lower bounds via enclosing balls and their
+Poisson kernels, and certified upper bounds via the entropy of linear
 connectivity and via separation exponents of point sequences.
 """
 
@@ -24,6 +24,7 @@ from .geometry import (
 from .exact import (
     LowerBoundCertificate,
     ball_harnack_from_center,
+    ball_harnack_two_points,
     disk_harnack_two_points,
     enclosing_ball_lower_bound,
     poisson_witness_lower_bound,
@@ -66,6 +67,7 @@ __all__ = [
     "load_point_set",
     "LowerBoundCertificate",
     "ball_harnack_from_center",
+    "ball_harnack_two_points",
     "disk_harnack_two_points",
     "enclosing_ball_lower_bound",
     "poisson_witness_lower_bound",

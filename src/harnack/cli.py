@@ -78,7 +78,6 @@ def cmd_sandwich(args) -> int:
     grid = args.grid if args.grid else _default_grid(domain)
     hops = args.hops
 
-    coincident = bool(np.array_equal(x, y))
     uppers: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
@@ -116,16 +115,10 @@ def cmd_sandwich(args) -> int:
         del uppers[name]
         inapplicable[name] = "bound overflows the float range"
 
-    lower_enc = exact.enclosing_ball_lower_bound(domain, x, y)
-    lower_poi = exact.poisson_witness_lower_bound(domain, x, y)
-    lower = lower_enc if lower_enc.value >= lower_poi.value else lower_poi
-
+    lower = exact.poisson_witness_lower_bound(domain, x, y)
     exact_value = None
-    if isinstance(domain, geometry.Ball) and domain.dim == 2:
-        exact_value = exact.disk_harnack_two_points(x, y, domain.center, domain.radius)
-    if coincident:
-        exact_value = 1.0
-        lower = exact.LowerBoundCertificate("disk_exact", 1.0, {"note": "coincident points"})
+    if isinstance(domain, geometry.Ball):
+        exact_value = exact.ball_harnack_two_points(x, y, domain.center, domain.radius)
 
     min_upper = min(uppers.values(), default=math.inf)
     consistent = lower.value <= min_upper + CONSISTENCY_TOL
@@ -138,7 +131,6 @@ def cmd_sandwich(args) -> int:
         "parameters": {
             "hops": hops,
             "grid_step": _fmt(grid),
-            "boundary_samples": exact.DEFAULT_BOUNDARY_SAMPLES,
             "variant": args.variant,
         },
         "lower": {
@@ -146,14 +138,10 @@ def cmd_sandwich(args) -> int:
             "value": _fmt(lower.value),
             "witness": lower.witness,
         },
-        "lower_candidates": {
-            "enclosing_ball": _fmt(lower_enc.value),
-            "poisson_witness": _fmt(lower_poi.value),
-        },
         "uppers": {k: _fmt(v) for k, v in sorted(uppers.items())},
         "inapplicable": dict(sorted(inapplicable.items())),
         "pair_separation": _fmt(q),
-        "exact": _fmt(exact_value) if exact_value is not None else None,
+        "exact": _fmt(exact_value),
         "verdict": "consistent" if consistent else "inconsistent",
     }
     _emit(report, args.out)

@@ -1,16 +1,16 @@
 """Exact Harnack-distance values and certified lower bounds.
 
-The ball admits a closed-form Harnack distance from its center; the 2-D
-disk admits an exact two-point oracle through the Poincare metric.  For
-general domains two certified lower bounds are available: the value on an
-enclosing ball (subordination: shrinking a domain can only increase the
-Harnack distance) and the best ratio of Poisson-kernel witnesses, which
-are positive harmonic on any ball containing the domain.
+The Harnack distance of a d-ball has a closed form for any two of its
+points; the value from the center and the planar disk are special cases.
+For other domains, subordination (a domain inside a ball B has a Harnack
+distance at least that of B) makes the ball value a certified lower bound,
+witnessed by the Poisson kernel of an enclosing ball at one boundary point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,19 +20,18 @@ from .geometry import Ball, Domain, contains, enclosing_ball
 __all__ = [
     "LowerBoundCertificate",
     "ball_harnack_from_center",
+    "ball_harnack_two_points",
     "disk_harnack_two_points",
     "enclosing_ball_lower_bound",
     "poisson_witness_lower_bound",
 ]
-
-DEFAULT_BOUNDARY_SAMPLES = 720
 
 
 @dataclass(frozen=True)
 class LowerBoundCertificate:
     """A certified lower bound on the Harnack distance with its witness."""
 
-    method: str  # "enclosing_ball" | "poisson_witness" | "disk_exact"
+    method: str  # "enclosing_ball" | "poisson_witness"
     value: float
     witness: dict = field(default_factory=dict)
 
@@ -41,39 +40,84 @@ class LowerBoundCertificate:
             raise ValueError("a Harnack-distance lower bound is always >= 1")
 
 
+def _in_float_range(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("the Harnack distance exceeds the float range")
+    return value
+
+
 def ball_harnack_from_center(dim: int, radius: float, rho: float) -> float:
     """Exact Harnack distance in a d-ball between its center and a point at
-    distance rho from the center: (R + rho) * R^(d-2) / (R - rho)^(d-1)."""
+    distance rho from the center: (R + rho) * R^(d-2) / (R - rho)^(d-1),
+    evaluated as (1 + t) / (1 - t)^(d-1) with t = rho / R."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not 0 <= rho < radius:
         raise ValueError("point not interior: need 0 <= rho < radius")
-    return (radius + rho) * radius ** (dim - 2) / (radius - rho) ** (dim - 1)
+    t = rho / radius
+    denominator = (1.0 - t) ** (dim - 1)
+    return _in_float_range((1.0 + t) / denominator if denominator > 0 else math.inf)
+
+
+def _ball_pair(x, y, center, radius: float) -> tuple[float, np.ndarray]:
+    """ball_harnack_two_points (inf beyond the float range) and a boundary
+    point zeta whose Poisson kernel attains it.
+
+    With r the ratio of the 2-D kernels a / |zeta - u|^2 and b / |zeta - v|^2,
+    P(u, zeta) / P(v, zeta) = r^(d/2) (b/a)^(d/2 - 1); r is linear-fractional
+    in the projection of zeta onto the plane of 0, u and v, so r and 1/r peak
+    at the disk value s on its great circle.  In complex coordinates there,
+    phi(z) = (z - q) / (1 - conj(q) z) turns the ratio of p (nearer the
+    sphere) over q into that of w = phi(p) over 0: zeta = phi^-1(w / |w|).
+    """
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    c, x, y = (np.asarray(p, dtype=float) for p in (center, x, y))
+    d = c.size
+    if c.ndim != 1 or d < 2 or x.shape != c.shape or y.shape != c.shape:
+        raise ValueError("center and points must be vectors of one dimension d >= 2")
+    u, v = (x - c) / radius, (y - c) / radius
+    a, b = 1.0 - float(u @ u), 1.0 - float(v @ v)
+    if not (a > 0 and b > 0):
+        raise ValueError("both points must be strictly inside the ball")
+    k = 2.0 * float((u - v) @ (u - v)) / (a * b)
+    s = 1.0 + k + math.sqrt(k * (k + 2.0))
+    try:
+        value = s ** (d / 2) * max(a / b, b / a) ** (d / 2 - 1)
+    except OverflowError:
+        value = math.inf
+
+    p, q = (u, v) if a <= b else (v, u)
+    e1 = p / np.linalg.norm(p) if p @ p > 0 else np.eye(d)[0]
+    w = q - (q @ e1) * e1
+    w -= (w @ e1) * e1  # again: when q is almost along e1, w is rounding noise
+    e2 = w / np.linalg.norm(w) if w @ w > 0 else np.zeros(d)
+    zp, zq = complex(p @ e1, 0.0), complex(q @ e1, q @ e2)
+    zw = (zp - zq) / (1.0 - zq.conjugate() * zp)
+    eta = zw / abs(zw) if zw else 1.0
+    z = (eta + zq) / (1.0 + zq.conjugate() * eta)
+    zeta = z.real * e1 + z.imag * e2
+    return value, c + radius * zeta / np.linalg.norm(zeta)
+
+
+def ball_harnack_two_points(x, y, center, radius: float) -> float:
+    """Exact Harnack distance between two points of a d-ball, any d >= 2: the
+    largest ratio of Poisson kernels, s^(d/2) * max(a/b, b/a)^(d/2 - 1) with
+    u, v the points rescaled to the unit ball, a = 1 - |u|^2, b = 1 - |v|^2,
+    k = 2|u - v|^2 / (ab) and s = 1 + k + sqrt(k (k + 2)) (the value in the
+    disk through the center, x and y).  ValueError beyond the float range."""
+    return _in_float_range(_ball_pair(x, y, center, radius)[0])
 
 
 def disk_harnack_two_points(x, y, center=(0.0, 0.0), radius: float = 1.0) -> float:
-    """Exact Harnack distance between two points of a planar disk.
-
-    Equals exp of the Poincare distance (curvature -1) between the points
-    rescaled to the unit disk; the normalization is pinned by agreement
-    with ball_harnack_from_center when x is the center.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(center, dtype=float)
-    if x.size != 2 or y.size != 2 or c.size != 2:
+    """Exact Harnack distance between two points of a planar disk: exp of
+    their Poincare distance (curvature -1) after rescaling to the unit disk,
+    the d = 2 case of ball_harnack_two_points."""
+    if np.size(x) != 2 or np.size(y) != 2 or np.size(center) != 2:
         raise ValueError("the disk oracle is 2-D only")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    a = complex(*(x - c)) / radius
-    b = complex(*(y - c)) / radius
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise ValueError("both points must be strictly inside the disk")
-    t = abs(a - b) / abs(1.0 - a.conjugate() * b)
-    # exp(2 * artanh(t)) = (1 + t) / (1 - t)
-    return (1.0 + t) / (1.0 - t)
+    return ball_harnack_two_points(x, y, center, radius)
 
 
 def enclosing_ball_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
@@ -82,8 +126,7 @@ def enclosing_ball_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
     Evaluates the ball formula for the enclosing balls centered at x and at
     y and keeps the larger value.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     for p in (x, y):
         if not contains(domain, p):
             raise ValueError("both points must be interior to the domain")
@@ -106,84 +149,37 @@ def enclosing_ball_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
     )
 
 
-def _sphere_directions(dim: int, n: int) -> np.ndarray:
-    """Deterministic unit directions: angular grid (d=2), Fibonacci sphere
-    (d=3), seeded Gaussian normalization (d>=4)."""
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if dim == 3:
-        k = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * k / n)
-        golden = np.pi * (1.0 + math.sqrt(5.0))
-        theta = golden * k
-        return np.column_stack(
-            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-        )
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _poisson_ratio(x, y, zeta, center, radius: float) -> float:
+    """max(P(x, zeta) / P(y, zeta), its inverse), P the kernel of the ball."""
+    u, v, z = ((np.asarray(p, dtype=float) - center) / radius for p in (x, y, zeta))
+    log_ratio = math.log((1.0 - u @ u) / (1.0 - v @ v))
+    log_ratio += u.size * math.log(np.linalg.norm(z - v) / np.linalg.norm(z - u))
+    with np.errstate(over="ignore"):
+        return float(np.exp(abs(log_ratio)))
 
 
-def _kernel(p: np.ndarray, zeta: np.ndarray, c: np.ndarray, R: float, d: int) -> np.ndarray:
-    """Poisson kernel of Ball(c, R) at interior point p, boundary points zeta."""
-    num = R * R - float(np.dot(p - c, p - c))
-    den = np.linalg.norm(zeta - p, axis=1) ** d
-    return num / den
-
-
-def poisson_witness_lower_bound(
-    domain: Domain, x, y, boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
-) -> LowerBoundCertificate:
-    """Lower bound from Poisson-kernel witnesses on balls enclosing the domain.
-
-    Each boundary-point kernel of an enclosing ball is positive harmonic on
-    the domain, so the larger of the two value ratios K(x,.)/K(y,.) and
-    K(y,.)/K(x,.) is a certified lower bound.  Witness balls are centered at
-    x, y and their midpoint (and, for a ball domain, the domain itself);
-    boundary samples always include the extremal directions along the line
-    through x and y.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def poisson_witness_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
+    """Lower bound from the Poisson kernels of balls enclosing the domain,
+    which are positive harmonic on it: the exact value of the smallest
+    enclosing balls centered at x, y and their midpoint and, for a ball
+    domain, of the domain itself.  Each counts with the smaller of its closed
+    form and the kernel ratio at its boundary point zeta, so the witness
+    {center, radius, zeta} re-evaluates to at least the value."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     for p in (x, y):
         if not contains(domain, p):
             raise ValueError("both points must be interior to the domain")
-    if boundary_samples < 1:
-        raise ValueError("boundary_samples must be >= 1")
-    d = domain.dim
-
-    balls: list[tuple[np.ndarray, float]] = []
-    for c in (x, y, 0.5 * (x + y)):
-        balls.append((c, domain.enclosing_radius(c)))
+    balls = [(c, domain.enclosing_radius(c)) for c in (x, y, 0.5 * (x + y))]
     if isinstance(domain, Ball):
         balls.append((domain.center, domain.radius))
 
-    dirs = _sphere_directions(d, boundary_samples)
-    best = 1.0
-    best_witness = {"center": x.tolist(), "radius": balls[0][1], "zeta": None}
-    for c, R in balls:
-        extremal = []
-        for p in (x, y):
-            v = p - c
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                extremal.extend([c + R * v / nv, c - R * v / nv])
-        zeta = np.vstack([c + R * dirs] + ([np.asarray(extremal)] if extremal else []))
-        kx = _kernel(x, zeta, c, R, d)
-        ky = _kernel(y, zeta, c, R, d)
-        ok = (kx > 0) & (ky > 0)
-        if not np.any(ok):
-            continue
-        ratio = np.maximum(kx[ok] / ky[ok], ky[ok] / kx[ok])
-        i = int(np.argmax(ratio))
-        if ratio[i] > best:
-            best = float(ratio[i])
-            best_witness = {
-                "center": c.tolist(),
-                "radius": float(R),
-                "zeta": zeta[ok][i].tolist(),
-            }
+    best, witness = -math.inf, {}
+    for c, radius in balls:
+        value, zeta = _ball_pair(x, y, c, radius)
+        value = min(value, _poisson_ratio(x, y, zeta, c, radius))
+        if value > best:
+            best = value
+            witness = {"center": c.tolist(), "radius": float(radius), "zeta": zeta.tolist()}
     return LowerBoundCertificate(
-        method="poisson_witness", value=max(1.0, best), witness=best_witness
+        method="poisson_witness", value=min(max(1.0, best), sys.float_info.max), witness=witness
     )

@@ -234,36 +234,39 @@ class Polygon2D(Domain):
     def dim(self) -> int:
         return 2
 
-    def _inside(self, p: np.ndarray) -> np.ndarray:
-        """Crossing-number test, vectorized over points (n, 2)."""
+    def _inside(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Crossing-number test, vectorized over the coordinate rows."""
         v = self.vertices
         n = v.shape[0]
-        inside = np.zeros(p.shape[0], dtype=bool)
+        inside = np.zeros(px.size, dtype=bool)
         for i in range(n):
             a, b = v[i], v[(i + 1) % n]
-            cond = (a[1] > p[:, 1]) != (b[1] > p[:, 1])
+            cond = (a[1] > py) != (b[1] > py)
             with np.errstate(divide="ignore", invalid="ignore"):
-                xint = a[0] + (p[:, 1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            inside ^= cond & (p[:, 0] < xint)
+                xint = a[0] + (py - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            inside ^= cond & (px < xint)
         return inside
 
-    def _edge_distance(self, p: np.ndarray) -> np.ndarray:
+    def _edge_distance(self, p: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Distance to the nearest edge.  The projection parameter is a BLAS
+        product over the rows of p, whose fused multiply-add a sum over the
+        coordinate rows px, py would not round alike."""
         v = self.vertices
         n = v.shape[0]
-        best = np.full(p.shape[0], np.inf)
+        best = np.full(px.size, np.inf)
         for i in range(n):
             a, b = v[i], v[(i + 1) % n]
             ab = b - a
             t = np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
+            dx = px - (a[0] + t * ab[0])
+            dy = py - (a[1] + t * ab[1])
+            best = np.minimum(best, np.sqrt(dx * dx + dy * dy))
         return best
 
     def clearance(self, pts) -> np.ndarray:
         p = _as_points(pts)
-        _check_dim(self, p)
-        d = self._edge_distance(p)
-        return np.where(self._inside(p), d, 0.0)
+        px, py = _columns(self, p)
+        return np.where(self._inside(px, py), self._edge_distance(p, px, py), 0.0)
 
     def enclosing_radius(self, center) -> float:
         c = np.asarray(center, dtype=float)
@@ -723,9 +726,18 @@ def domain_to_dict(domain: Domain) -> dict:
     return {"dim": domain.dim, "shape": domain.to_dict()}
 
 
-def load_domain(path) -> Domain:
+def _load(path, kind: str, parse):
+    """parse(JSON at path); a wrong structure (say, a null number) is a ValueError."""
     with open(path) as f:
-        return domain_from_dict(json.load(f))
+        data = json.load(f)
+    try:
+        return parse(data)
+    except (TypeError, KeyError, IndexError, OverflowError) as e:
+        raise ValueError(f"malformed {kind} file {path}: {type(e).__name__}: {e}") from None
+
+
+def load_domain(path) -> Domain:
+    return _load(path, "domain", domain_from_dict)
 
 
 def dump_domain(domain: Domain, path) -> None:
@@ -735,9 +747,10 @@ def dump_domain(domain: Domain, path) -> None:
 
 
 def load_point_set(path, domain: Domain) -> PointSet:
-    with open(path) as f:
-        data = json.load(f)
-    return PointSet(np.asarray(data["points"], dtype=float), domain)
+    def parse(data):
+        return PointSet(np.asarray(data["points"], dtype=float), domain)
+
+    return _load(path, "point-set", parse)
 
 
 def dump_point_set(pts, path) -> None:

@@ -6,10 +6,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from harnack import geometry
 from harnack.cli import main
 from harnack.entropy import EacEstimate, PairRecord, build_ball_chain
+from harnack.exact import enclosing_ball_lower_bound
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 # 8 points in the three-ball union at clearance 0.02-0.06
@@ -76,6 +79,15 @@ class TestBall:
     def test_invalid_arguments(self, capsys):
         assert main(["ball", "--dim", "2", "--radius", "1", "--rho", "2"]) == 2
 
+    def test_extreme_radius_at_the_center(self, capsys):
+        code, out = run(capsys, ["ball", "--dim", "400", "--radius", "1e300", "--rho", "0"])
+        assert code == 0
+        assert out.strip() == "1"
+
+    def test_value_beyond_the_float_range_exits_2(self, capsys):
+        assert main(["ball", "--dim", "400", "--radius", "1", "--rho", "0.9"]) == 2
+        assert "exceeds the float range" in capsys.readouterr().err
+
 
 class TestSandwich:
     def test_disk_report(self, capsys, disk_file):
@@ -93,9 +105,27 @@ class TestSandwich:
         code, out = run(capsys, ["sandwich", "--domain", disk_file, "--pair=0.2,0.1;0.2,0.1"])
         assert code == 0
         report = json.loads(out)
+        jsonschema.validate(report, schema("bound_report.schema.json"))
         assert report["exact"] == 1.0
         assert report["lower"]["value"] == 1.0
+        assert report["lower"]["method"] == "poisson_witness"
+        assert sorted(report["lower"]["witness"]) == ["center", "radius", "zeta"]
         assert all(v >= 1.0 for v in report["uppers"].values())
+
+    def test_3d_ball_report_has_the_exact_value(self, capsys, tmp_path):
+        ball = tmp_path / "ball3.json"
+        shape = {"type": "ball", "center": [0, 0, 0], "radius": 1}
+        ball.write_text(json.dumps({"dim": 3, "shape": shape}))
+        argv = ["sandwich", "--domain", str(ball), "--pair=-0.4,0,0;0.4,0,0", "--grid", "0.25"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("bound_report.schema.json"))
+        # s = (1.4 / 0.6)^2 from the disk through the pair, and a = b
+        assert report["exact"] == pytest.approx((7 / 3) ** 3, rel=1e-11)
+        assert report["lower"]["value"] == report["exact"]
+        assert "lower_candidates" not in report
+        assert "boundary_samples" not in report["parameters"]
 
     def test_touching_pair_is_data_not_failure(self, capsys, disk_file):
         code, out = run(capsys, ["sandwich", "--domain", disk_file, "--pair=-0.5,0;0.5,0", "--hops", "2"])
@@ -320,3 +350,110 @@ class TestFileSchemas:
     def test_domain_and_pointset_files_validate(self, disk_file, pair_file):
         jsonschema.validate(json.load(open(disk_file)), schema("domain.schema.json"))
         jsonschema.validate(json.load(open(pair_file)), schema("pointset.schema.json"))
+
+
+# Arbitrary JSON, with the keys and shape names of the file formats among
+# the dictionary keys and strings, so that some documents get past the
+# first lookups.
+KEYS = ["dim", "shape", "type", "center", "radius", "min", "max", "vertices", "balls", "points"]
+SHAPES = ["ball", "box", "polygon", "union_of_balls"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(SHAPES)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+SHAPE_LIKE = st.builds(
+    lambda kind, rest: {**rest, "type": kind},
+    st.sampled_from(SHAPES),
+    st.dictionaries(st.sampled_from(KEYS), JSON, max_size=3),
+)
+VALID_DOMAINS = [
+    {"dim": 2, "shape": {"type": "ball", "center": [0, 0], "radius": 1}},
+    {"dim": 3, "shape": {"type": "box", "min": [-1, -1, -1], "max": [1, 1, 1]}},
+    {"dim": 2, "shape": {"type": "polygon",
+                         "vertices": [[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]]}},
+]
+VALID_SETS = [
+    {"points": [[0.1, -0.2], [-0.3, -0.4]]},
+    {"points": [[0.1, 0.2, 0.3]]},
+    {"points": [[0, 0], [0, 0]]},
+]
+DOMAIN_FILES = (
+    JSON
+    | st.builds(lambda dim, shape: {"dim": dim, "shape": shape}, st.sampled_from([2, 3]) | JSON,
+                SHAPE_LIKE)
+    | st.sampled_from(VALID_DOMAINS)
+)
+SET_FILES = JSON | st.builds(lambda p: {"points": p}, JSON) | st.sampled_from(VALID_SETS)
+
+
+class TestLoaderFuzzing:
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(domain=DOMAIN_FILES, points=SET_FILES)
+    def test_any_json_exits_with_a_documented_code(self, tmp_path_factory, domain, points):
+        tmp = tmp_path_factory.getbasetemp()
+        dom, pts = tmp / "fuzz_domain.json", tmp / "fuzz_set.json"
+        dom.write_text(json.dumps(domain))
+        pts.write_text(json.dumps(points))
+        argv = ["set", "eac", "--domain", str(dom), "--set", str(pts), "--grid", "0.5"]
+        assert main(argv) in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("domain", '{"dim": 2, "shape": [1]}'),
+            ("domain", "[1, 2]"),
+            ("domain", '{"dim": 2, "shape": {"type": "ball", "center": [0, 0], "radius": null}}'),
+            ("point-set", '{"points": {"a": 1}}'),
+            ("point-set", "[1, 2]"),
+        ],
+    )
+    def test_malformed_structure_names_the_file_kind(self, capsys, tmp_path, disk_file, kind, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        domain, points = (str(bad), disk_file) if kind == "domain" else (disk_file, str(bad))
+        assert main(["set", "eac", "--domain", domain, "--set", points]) == 2
+        assert f"malformed {kind} file" in capsys.readouterr().err
+
+
+def _ball_point(center, radius, direction, reach):
+    w = np.asarray(direction[: center.size])
+    n = np.linalg.norm(w)
+    return center + radius * reach * w / n if n > 0 else center
+
+
+class TestSandwichSoundnessOnBalls:
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        dim=st.sampled_from([2, 3]),
+        center=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        radius=st.floats(0.2, 3.0),
+        directions=st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=2, max_size=2
+        ),
+        reach=st.lists(st.floats(0.0, 0.95), min_size=2, max_size=2),
+    )
+    def test_lower_exact_upper(self, tmp_path_factory, dim, center, radius, directions, reach):
+        c = np.asarray(center[:dim])
+        x, y = (_ball_point(c, radius, w, r) for w, r in zip(directions, reach))
+        tmp = tmp_path_factory.getbasetemp()
+        domain, out = tmp / "sound_ball.json", tmp / "sound_report.json"
+        shape = {"type": "ball", "center": c.tolist(), "radius": radius}
+        domain.write_text(json.dumps({"dim": dim, "shape": shape}))
+        pair = ";".join(",".join(repr(float(t)) for t in p) for p in (x, y))
+        argv = ["sandwich", "--domain", str(domain), f"--pair={pair}", "--grid", repr(radius / 4),
+                "--out", str(out)]
+        code = main(argv)
+        report = json.loads(out.read_text())
+        lower, exact = report["lower"]["value"], report["exact"]
+        uppers = [v for v in report["uppers"].values() if v is not None]
+        assert lower <= exact
+        assert all(exact <= u * (1 + 1e-12) for u in uppers)
+        enclosing = enclosing_ball_lower_bound(geometry.Ball(c, radius), x, y).value
+        assert lower >= enclosing * (1 - 1e-11)
+        assert report["verdict"] == "consistent"
+        assert code == 0

@@ -383,6 +383,20 @@ class TestLattice:
 
 def _row_clearance(domain, p):
     """The former clearances, broadcast over the rows of an (n, d) array."""
+    if isinstance(domain, Polygon2D):
+        v = domain.vertices
+        inside = np.zeros(p.shape[0], dtype=bool)
+        best = np.full(p.shape[0], np.inf)
+        for a, b in zip(v, np.roll(v, -1, axis=0)):
+            cond = (a[1] > p[:, 1]) != (b[1] > p[:, 1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xint = a[0] + (p[:, 1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            inside ^= cond & (p[:, 0] < xint)
+            ab = b - a
+            t = np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0)
+            proj = a + t[:, None] * ab
+            best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
+        return np.where(inside, best, 0.0)
     if isinstance(domain, Ball):
         return np.maximum(0.0, domain.radius - np.linalg.norm(p - domain.center, axis=1))
     if isinstance(domain, Box):
@@ -405,6 +419,21 @@ class TestColumnClearance:
             domain = UnionOfBalls(centers, np.array([0.5, 0.6, 0.5]))
         p = rng.uniform(-1.5, 1.5, size=(100_000, dim))
         assert np.array_equal(domain.clearance(p), _row_clearance(domain, p))
+        assert np.array_equal(domain.clearance(p[:0]), np.zeros(0))
+
+    @pytest.mark.parametrize("name", ["L", "slanted"])
+    def test_polygon_equal_to_the_row_wise_expressions(self, name):
+        rng = np.random.default_rng(7)
+        domain = {
+            "L": SEGMENT_DOMAINS["L"],
+            "slanted": Polygon2D(
+                np.array([[0.0, 0.0], [3.0, 0.2], [2.5, 2.0], [1.0, 1.1], [0.2, 2.5]])
+            ),
+        }[name]
+        lo, hi = domain.bounding_box()
+        for n in (1, 7, 100_000):
+            p = rng.uniform(lo - 0.5, hi + 0.5, size=(n, 2))
+            assert np.array_equal(domain.clearance(p), _row_clearance(domain, p))
         assert np.array_equal(domain.clearance(p[:0]), np.zeros(0))
 
 
