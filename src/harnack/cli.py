@@ -6,13 +6,15 @@ round-half-even) so that reports double as reproducible certificates.
 
 Exit codes: 0 success, 1 sandwich consistency failure (implementation
 bug by design), 2 unparseable input or exterior points, 3 grid-solver
-dimension refusal, 4 grid step refused because its lattice would exceed
-`geometry.LATTICE_BUDGET` candidates.
+dimension refusal of `set` (the sandwich lists its grid bounds as
+inapplicable for d > 3 instead), 4 grid step refused because its lattice
+would exceed `geometry.LATTICE_BUDGET` candidates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,8 +74,11 @@ def _default_grid(domain) -> float:
 def cmd_sandwich(args) -> int:
     domain = geometry.load_domain(args.domain)
     x, y = _parse_pair(args.pair)
+    # each point's clearance, evaluated once for interiority, q and the pair bounds
+    clear = []
     for p in (x, y):
-        if not geometry.contains(domain, p):
+        clear.append(geometry.dist_to_complement(domain, p))
+        if not clear[-1] > 0.0:
             raise ValueError(f"point {p.tolist()} is not interior to the domain")
     grid = args.grid if args.grid else _default_grid(domain)
     hops = args.hops
@@ -82,10 +87,10 @@ def cmd_sandwich(args) -> int:
     inapplicable: dict[str, str] = {}
 
     # pair bound, both variants
-    q = separation.pair_separation(domain, x, y)
+    q = separation.separation_from_clearances(x, y, *clear)
     if q < 1.0:
-        uppers["pair_stated"] = separation.pair_bound(domain, x, y, "stated")
-        uppers["pair_proof_sharp"] = separation.pair_bound(domain, x, y, "proof_sharp")
+        for variant in ("stated", "proof_sharp"):
+            uppers[f"pair_{variant}"] = separation.pair_bound_from_q(q, domain.dim, variant)
     else:
         inapplicable["pair_stated"] = f"pair separation {q:.12g} >= 1"
         inapplicable["pair_proof_sharp"] = f"pair separation {q:.12g} >= 1"
@@ -99,17 +104,22 @@ def cmd_sandwich(args) -> int:
 
     # chain bound through a minimax separation witness
     query = separation.SeparationQuery(domain, x, np.vstack([y]), hops, grid)
-    result = separation.set_separation(query)
-    witness = result.per_target[0][1]
-    if result.value < 1.0 and witness is not None:
-        uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
-        uppers["chain_stated"] = separation.chain_bound(domain, witness, "stated")
-        uppers["chain_proof_sharp"] = separation.chain_bound(domain, witness, "proof_sharp")
+    try:
+        result = separation.set_separation(query)
+    except entropy.GridDimensionError:
+        for name in ("set_hop", "chain_stated", "chain_proof_sharp"):
+            inapplicable[name] = f"grid solver refuses d={domain.dim} > 3"
     else:
-        inapplicable["set_hop"] = (
-            f"set separation {result.value:.12g} >= 1 at hops={hops}; "
-            "try more hops or a finer grid"
-        )
+        witness = result.per_target[0][1]
+        if result.value < 1.0 and witness is not None:
+            uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
+            uppers["chain_stated"] = separation.chain_bound(domain, witness, "stated")
+            uppers["chain_proof_sharp"] = separation.chain_bound(domain, witness, "proof_sharp")
+        else:
+            inapplicable["set_hop"] = (
+                f"set separation {result.value:.12g} >= 1 at hops={hops}; "
+                "try more hops or a finer grid"
+            )
 
     for name in [k for k, v in uppers.items() if not math.isfinite(v)]:
         del uppers[name]
@@ -316,8 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it takes longer than
+    parsing, and parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except entropy.GridDimensionError as e:

@@ -23,18 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .geometry import (
     Domain,
+    _interior_lattice,
     certified_segment_clearances,
     diameter,
     dist_to_complement,
     hull_clearance,
     lattice_half_offsets,
     lattice_neighbors,
-    lattice_points,
     points_array,
 )
 
@@ -122,12 +120,18 @@ def eac_hull_bound(
     return diameter(p) / clear
 
 
+def dijkstra(csgraph, **kwargs):
+    """scipy.sparse.csgraph.dijkstra.  scipy is imported on the first call:
+    its import takes longer than a command that runs no Dijkstra."""
+    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+    return scipy_dijkstra(csgraph, **kwargs)
+
+
 def _grid_graph(domain: Domain, grid_step: float):
     """Interior lattice nodes with clearances, plus certified edges between
     axis/diagonal neighbors (certification via endpoint+midpoint samples)."""
-    nodes = lattice_points(domain, grid_step)
-    n = nodes.shape[0]
-    clear = domain.clearance(nodes) if n else np.zeros(0)
+    nodes, clear = _interior_lattice(domain, grid_step)
     ii, jj = lattice_neighbors(nodes, grid_step, lattice_half_offsets((1,) * domain.dim))
     if ii.size:
         lengths = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
@@ -241,6 +245,8 @@ def eac_estimate(
         PairRecord(float(d) / float(c), float(c), np.vstack([p[a], p[b]])) if c > 0 else None
         for a, b, d, c in zip(pa, pb, dxy, seg_clear)
     ]
+    import scipy.sparse as sp  # with dijkstra, so that other commands never load scipy
+
     for r in levels:
         r = float(r)
         keep = top >= r

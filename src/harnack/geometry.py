@@ -631,6 +631,13 @@ def lattice_points(domain: Domain, step: float) -> np.ndarray:
 
     Raises `LatticeBudgetError` before allocating when the bounding box holds
     more than `LATTICE_BUDGET` candidates."""
+    return _interior_lattice(domain, step)[0]
+
+
+def _interior_lattice(domain: Domain, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """`lattice_points` and the nodes' clearances, kept from the one
+    clearance call that selects the nodes, so that no solver evaluates them
+    again."""
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"grid step must be positive and finite, got {step}")
     count = lattice_candidates(domain, step)
@@ -647,8 +654,10 @@ def lattice_points(domain: Domain, step: float) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     if grid.shape[0] == 0:
-        return grid.reshape(0, domain.dim)
-    return grid[domain.clearance(grid) > 0.0]
+        return grid.reshape(0, domain.dim), np.zeros(0)
+    clear = domain.clearance(grid)
+    inside = clear > 0.0
+    return grid[inside], clear[inside]
 
 
 def lattice_half_offsets(bounds) -> np.ndarray:

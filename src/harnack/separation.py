@@ -27,11 +27,11 @@ import numpy as np
 
 from .geometry import (
     Domain,
+    _interior_lattice,
     certified_segment_clearance,
     contains,
     lattice_half_offsets,
     lattice_neighbors,
-    lattice_points,
     points_array,
 )
 
@@ -51,13 +51,16 @@ __all__ = [
 
 def pair_separation(domain: Domain, x, y) -> float:
     """|x - y| / (clearance(x) + clearance(y)); 0 for coincident points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cx = float(domain.clearance(x)[0])
-    cy = float(domain.clearance(y)[0])
+    cx, cy = (float(domain.clearance(p)[0]) for p in (x, y))
+    return separation_from_clearances(x, y, cx, cy)
+
+
+def separation_from_clearances(x, y, cx: float, cy: float) -> float:
+    """pair_separation of x and y, given their clearances cx and cy."""
     if cx <= 0 or cy <= 0:
         raise ValueError("both points must be interior to the domain")
-    return float(np.linalg.norm(x - y)) / (cx + cy)
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(np.linalg.norm(diff)) / (cx + cy)
 
 
 def pair_bound(domain: Domain, x, y, variant: str = "stated") -> float:
@@ -172,12 +175,7 @@ class SeparationSolver:
         self.neighbor_radius = (
             4.0 * grid_step if neighbor_radius is None else neighbor_radius
         )
-        self.nodes = lattice_points(domain, grid_step)
-        self.clear = (
-            domain.clearance(self.nodes)
-            if self.nodes.shape[0]
-            else np.zeros(0)
-        )
+        self.nodes, self.clear = _interior_lattice(domain, grid_step)
 
     @functools.cached_property
     def _grid_edges(self):
@@ -292,9 +290,10 @@ def chain_bound(domain: Domain, points, variant: str = "stated") -> float:
     p = points_array(points, domain)
     if p.shape[0] < 2:
         raise ValueError("chain needs at least 2 points")
+    clear = domain.clearance(p).tolist()
     total = 1.0
     for k in range(1, p.shape[0]):
-        q = pair_separation(domain, p[k - 1], p[k])
+        q = separation_from_clearances(p[k - 1], p[k], clear[k - 1], clear[k])
         if not q < 1.0:
             raise ValueError(f"chain link {k - 1} has separation {q} >= 1")
         total *= pair_bound_from_q(q, domain.dim, variant)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harnack import geometry
+from harnack import cli, geometry
 from harnack.cli import main
 from harnack.entropy import EacEstimate, PairRecord, build_ball_chain
 from harnack.exact import enclosing_ball_lower_bound
@@ -157,6 +160,104 @@ class TestSandwich:
 
     def test_exterior_point_exits_2(self, capsys, disk_file):
         assert main(["sandwich", "--domain", disk_file, "--pair=0,0;2,0"]) == 2
+
+    def test_4d_ball_lists_the_grid_bounds_as_inapplicable(self, capsys, tmp_path):
+        ball = tmp_path / "ball4.json"
+        ball.write_text(json.dumps({"dim": 4, "shape": {"type": "ball", "center": [0] * 4, "radius": 1}}))
+        code, out = run(capsys, ["sandwich", "--domain", str(ball), "--pair=0.1,0,0,0;-0.3,0.2,0,0"])
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("bound_report.schema.json"))
+        for name in ("set_hop", "chain_stated", "chain_proof_sharp"):
+            assert report["inapplicable"][name] == "grid solver refuses d=4 > 3"
+        assert sorted(report["uppers"]) == ["eac_rounded", "eac_sharp", "pair_proof_sharp", "pair_stated"]
+        assert report["lower"]["value"] <= report["exact"] <= min(report["uppers"].values())
+        assert report["verdict"] == "consistent"
+
+    def test_l_polygon_sandwich_evaluates_each_clearance_once(self, capsys, monkeypatch, tmp_path):
+        poly = tmp_path / "L.json"
+        vertices = [[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]]
+        poly.write_text(json.dumps({"dim": 2, "shape": {"type": "polygon", "vertices": vertices}}))
+        calls = []
+        clearance = geometry.Polygon2D.clearance
+
+        def counting(self, pts):
+            calls.append(1)
+            return clearance(self, pts)
+
+        monkeypatch.setattr(geometry.Polygon2D, "clearance", counting)
+        code, out = run(capsys, ["sandwich", "--domain", str(poly), "--pair=-0.5,-0.5;0.5,-0.6"])
+        assert code == 0
+        assert "chain_proof_sharp" in json.loads(out)["uppers"]
+        # x and y 2, hull bound 1, query 2, lattice 1, solve 1, two chains 2,
+        # lower bound 2
+        assert len(calls) <= 11
+
+
+class TestParser:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        build = cli.build_parser
+
+        def counting():
+            count.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, capsys, builds, disk_file):
+        for _ in range(3):
+            assert main(["ball", "--dim", "2", "--radius", "1", "--rho", "0.5"]) == 0
+            assert main(["sandwich", "--domain", disk_file, "--pair=-0.4,0;0.4,0"]) == 0
+        assert main(["ball", "--dim", "2", "--radius", "1", "--rho", "2"]) == 2
+        assert builds == [1]
+
+    def test_no_state_carries_over(self, capsys, builds, disk_file):
+        argv = ["sandwich", "--domain", disk_file, "--pair=-0.4,0;0.4,0"]
+        first = json.loads(run(capsys, argv + ["--grid", "0.2", "--hops", "3"])[1])
+        second = json.loads(run(capsys, argv)[1])
+        assert first["parameters"]["grid_step"] == 0.2 and first["parameters"]["hops"] == 3
+        assert second["parameters"]["grid_step"] == pytest.approx(math.sqrt(8.0) / 30.0, rel=1e-12)
+        assert second["parameters"]["hops"] == 2
+        assert builds == [1]
+
+
+LIGHT_COMMANDS = """
+import json, sys
+import harnack, harnack.cli
+loaded = {"import": "scipy" in sys.modules}
+disk, pts, sandwich, sep, eac, svg = sys.argv[1:]
+commands = {
+    "ball": ["ball", "--dim", "3", "--radius", "1", "--rho", "0.5"],
+    "sandwich": ["sandwich", "--domain", disk, "--pair=-0.4,0;0.4,0", "--out", sandwich],
+    "set sep": ["set", "sep", "--domain", disk, "--set", pts, "--start=0,0", "--out", sep],
+    "plot": ["plot", "--domain", disk, pts, sep, "--out", svg],
+    "set eac": ["set", "eac", "--domain", disk, "--set", pts, "--grid", "0.1", "--out", eac],
+}
+for name, argv in commands.items():
+    assert harnack.cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_entropy_estimator_loads_scipy(tmp_path, disk_file, pair_file):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [str(tmp_path / name) for name in ("sandwich.json", "sep.json", "eac.json", "p.svg")]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIGHT_COMMANDS, disk_file, pair_file, *outs],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": False, "ball": False, "sandwich": False, "set sep": False,
+                      "plot": False, "set eac": True}
 
 
 class TestNonFiniteDomain:

@@ -21,6 +21,7 @@ from harnack.geometry import (
     Polygon2D,
     UnionOfBalls,
     certified_segment_clearance,
+    lattice_candidates,
     lattice_points,
 )
 
@@ -222,6 +223,23 @@ def test_grid_graph_matches_dict_loop(domain, step):
     assert ii.size > 0
     for got, ref in zip((ii, jj, lengths, cert), want):
         assert np.array_equal(got, ref)
+
+
+def test_grid_graph_evaluates_lattice_clearances_once(monkeypatch):
+    domain = GRAPH_DOMAINS[2][0]  # the L-polygon
+    sizes = []
+    clearance = Polygon2D.clearance
+
+    def recording(self, pts):
+        sizes.append(len(np.atleast_2d(pts)))
+        return clearance(self, pts)
+
+    monkeypatch.setattr(Polygon2D, "clearance", recording)
+    nodes, clear, ii, _, _, _ = _grid_graph(domain, 0.1)
+    # the lattice candidates once, then the edge midpoints
+    assert sizes == [lattice_candidates(domain, 0.1), ii.size]
+    monkeypatch.setattr(Polygon2D, "clearance", clearance)
+    assert np.array_equal(clear, domain.clearance(nodes))
 
 
 # --- the per-pair estimator: one graph and one Dijkstra call per pair and level

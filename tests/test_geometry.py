@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnack import geometry
 from harnack.geometry import (
@@ -256,6 +258,21 @@ class TestEnclosingBall:
             assert np.all(dist <= r + 1e-12)
 
 
+# every shape in d = 2 and, where it has one, d = 3; the pentagon has
+# slanted edges and a reflex vertex
+LIPSCHITZ_DOMAINS = {
+    "disk": UNIT_DISK,
+    "ball3d": Ball(np.array([0.1, 0.0, -0.2]), 1.3),
+    "box": Box(np.array([-1.0, -0.5]), np.array([2.0, 1.0])),
+    "box3d": Box(-np.ones(3), np.array([1.0, 0.5, 1.0])),
+    "L": SEGMENT_DOMAINS["L"],
+    "pentagon": Polygon2D(np.array([[0.0, 0.0], [2.0, 0.3], [1.1, 1.0], [2.4, 1.9], [-0.3, 1.4]])),
+    "union3": SEGMENT_DOMAINS["union3"],
+    "union3d": UnionOfBalls(np.array([[-0.5, 0.0, 0.0], [0.5, 0.1, 0.0], [0.3, 0.7, 0.4]]),
+                            np.array([0.6, 0.5, 0.4])),
+}
+
+
 class TestLipschitz:
     @pytest.mark.parametrize(
         "domain",
@@ -276,6 +293,28 @@ class TestLipschitz:
         cq = domain.clearance(q)
         gap = np.linalg.norm(p - q, axis=1)
         assert np.all(np.abs(cp - cq) <= gap + 1e-12)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(LIPSCHITZ_DOMAINS)),
+        u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        w=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        scale=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3, 3.0]),
+    )
+    def test_near_and_far_pairs_in_2d_and_3d(self, name, u, w, scale):
+        """As above, in d = 3 too and for pairs down to 1e-9 apart, with
+        single-point and batched calls."""
+        domain = LIPSCHITZ_DOMAINS[name]
+        lo, hi = domain.bounding_box()
+        d = domain.dim
+        p = lo - 0.2 + np.asarray(u[:d]) * (hi - lo + 0.4)
+        q = p + scale * np.asarray(w[:d])
+        gap = float(np.linalg.norm(p - q))
+        batched = domain.clearance(np.vstack([p, q]))
+        single = [dist_to_complement(domain, p), dist_to_complement(domain, q)]
+        for cp, cq in (batched, single):
+            assert cp >= 0.0 and cq >= 0.0
+            assert abs(cp - cq) <= gap + 1e-12
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnack import separation
+from harnack import geometry, separation
 from harnack.exact import disk_harnack_two_points
 from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls, lattice_neighbors
 from harnack.separation import (
@@ -280,6 +280,26 @@ class TestGridEdgesOnDemand:
         assert calls == [1]
 
 
+class TestLatticeClearancesOnce:
+    L_POLYGON = Polygon2D(np.array([[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]], float))
+
+    def test_solver_keeps_the_clearances_that_select_its_nodes(self, monkeypatch):
+        sizes = []
+        clearance = Polygon2D.clearance
+
+        def recording(self, pts):
+            sizes.append(len(np.atleast_2d(pts)))
+            return clearance(self, pts)
+
+        monkeypatch.setattr(Polygon2D, "clearance", recording)
+        solver = SeparationSolver(self.L_POLYGON, 0.1)
+        # one call over the lattice candidates, none over the nodes again
+        assert sizes == [geometry.lattice_candidates(self.L_POLYGON, 0.1)]
+        monkeypatch.setattr(Polygon2D, "clearance", clearance)
+        assert np.array_equal(solver.nodes, geometry.lattice_points(self.L_POLYGON, 0.1))
+        assert np.array_equal(solver.clear, self.L_POLYGON.clearance(solver.nodes))
+
+
 class TestSetHarnackBound:
     def test_zero_q_one_hop(self):
         assert set_harnack_bound(0.0, 1, 2) == 16.0
@@ -326,6 +346,26 @@ class TestChainBound:
     def test_bad_link_identified(self):
         with pytest.raises(ValueError, match="link 0"):
             chain_bound(UNIT_DISK, [(-0.5, 0), (0.5, 0)])
+
+    def test_one_clearance_call_and_the_pairwise_links(self, monkeypatch):
+        chain = [(-0.6, 0.1), (-0.2, 0.3), (0.1, -0.2), (0.5, 0.0)]
+        want = math.prod(
+            pair_bound(UNIT_DISK, a, b, "proof_sharp") for a, b in zip(chain, chain[1:])
+        )
+        calls = []
+        clearance = Ball.clearance
+
+        def counting(self, pts):
+            calls.append(1)
+            return clearance(self, pts)
+
+        monkeypatch.setattr(Ball, "clearance", counting)
+        assert chain_bound(UNIT_DISK, chain, "proof_sharp") == want
+        assert len(calls) == 1
+
+    def test_exterior_link_rejected(self):
+        with pytest.raises(ValueError, match="interior"):
+            chain_bound(UNIT_DISK, [(0.0, 0.0), (1.0, 0.0)])
 
 
 class TestBetweenConditions:
