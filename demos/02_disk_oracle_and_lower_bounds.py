@@ -7,12 +7,11 @@ we cannot evaluate it, but subordination still certifies lower bounds:
 any ball containing the domain has a *smaller* Harnack distance, so its
 exact value bounds ours from below.
 
-* enclosing-ball bound: the ball formula from the center, on the smallest
-  enclosing balls centered at either point;
-* Poisson witness: the exact two-point value on several enclosing balls,
-  witnessed by the Poisson kernel at one boundary point.
+The Poisson-witness bound takes the exact two-point value on several
+enclosing balls (centred at either point and at their midpoint), witnessed
+by the Poisson kernel at one boundary point.
 
-This script checks both against the exact disk and 3-D ball values.
+This script checks it against the exact disk and 3-D ball values.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from harnack import (
     Box,
     ball_harnack_two_points,
     disk_harnack_two_points,
-    enclosing_ball_lower_bound,
     poisson_witness_lower_bound,
 )
 
@@ -34,12 +32,11 @@ def main():
         ((0.0, 0.0), (0.7, 0.0)),
         ((-0.3, 0.5), (0.4, -0.2)),
     ]
-    print(f"{'pair':>28} {'exact':>10} {'encl-ball':>10} {'poisson':>10}")
+    print(f"{'pair':>28} {'exact':>10} {'poisson':>10}")
     for x, y in pairs:
         exact = disk_harnack_two_points(x, y)
-        encl = enclosing_ball_lower_bound(disk, x, y)
         pois = poisson_witness_lower_bound(disk, x, y)
-        print(f"{str((x, y)):>28} {exact:>10.4f} {encl.value:>10.4f} {pois.value:>10.4f}")
+        print(f"{str((x, y)):>28} {exact:>10.4f} {pois.value:>10.4f}")
 
     print()
     print("The lower-bound certificates carry their witnesses:")
@@ -49,7 +46,7 @@ def main():
     print(f"  witness = {cert.witness}")
 
     print()
-    print("Both bounds never exceed the exact value (spot check, 500 pairs each):")
+    print("The bound never exceeds the exact value (spot check, 500 pairs each):")
     rng = np.random.default_rng(2)
     for dim in (2, 3):
         ball = Ball(np.zeros(dim), 1.0)
@@ -59,20 +56,17 @@ def main():
             if max(np.linalg.norm(x), np.linalg.norm(y)) > 0.85:
                 continue
             exact = ball_harnack_two_points(x, y, ball.center, ball.radius)
-            lo = max(
-                enclosing_ball_lower_bound(ball, x, y).value,
-                poisson_witness_lower_bound(ball, x, y).value,
-            )
+            lo = poisson_witness_lower_bound(ball, x, y).value
             worst = max(worst, lo / exact - 1.0)
         print(f"  d = {dim}: max(lower / exact - 1) = {worst:.3e}  (<= 0 up to roundoff)")
 
     print()
-    print("On a square the Poisson witness is at least the enclosing-ball bound:")
+    print("On a square the witness ball is one of the enclosing balls:")
     square = Box(-np.ones(2), np.ones(2))
+    print(f"{'pair':>28} {'poisson':>10} {'radius':>8}")
     for x, y in pairs:
-        encl = enclosing_ball_lower_bound(square, x, y).value
-        pois = poisson_witness_lower_bound(square, x, y).value
-        print(f"{str((x, y)):>28} {encl:>10.4f} {pois:>10.4f}")
+        pois = poisson_witness_lower_bound(square, x, y)
+        print(f"{str((x, y)):>28} {pois.value:>10.4f} {pois.witness['radius']:>8.4f}")
 
 
 if __name__ == "__main__":

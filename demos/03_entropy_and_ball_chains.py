@@ -23,6 +23,7 @@ import numpy as np
 
 from harnack import (
     Ball,
+    Lattice,
     build_ball_chain,
     eac_estimate,
     eac_harnack_bound,
@@ -35,7 +36,7 @@ def main():
     pts = np.array([[-0.5, 0.0], [0.5, 0.0]])
 
     hull = eac_hull_bound(disk, pts, "segmental", resolution=1e-3)
-    est = eac_estimate(disk, pts, grid_step=0.02)
+    est = eac_estimate(Lattice(disk, 0.02), pts)
     print(f"hull bound (segmental):   {hull:.4f}")
     print(f"grid estimate:            {est.value:.4f}   (true value is 2)")
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from harnack import (
     Ball,
+    Lattice,
     SeparationQuery,
     chain_bound,
     pair_bound,
@@ -47,7 +48,7 @@ def main():
     print(f"through-the-center relay chain bound: {chain_bound(disk, relay, 'proof_sharp'):.4f}")
 
     print()
-    query = SeparationQuery(disk, far[0], far[1][None, :], hops=2, grid_step=0.05)
+    query = SeparationQuery(Lattice(disk, 0.05), far[0], far[1][None, :], hops=2)
     res = set_separation(query)
     val, poly = res.per_target[0]
     print(f"minimax solver, 2 hops on a 0.05 grid:")
@@ -55,9 +56,10 @@ def main():
     print(f"  resulting set bound: {set_harnack_bound(res, 2, 2):.4f}")
 
     print()
-    print("More hops never hurt:")
+    print("More hops never hurt (one lattice serves every query):")
+    lattice = Lattice(disk, 0.05)
     for hops in (1, 2, 3, 4):
-        r = set_separation(SeparationQuery(disk, far[0], far[1][None, :], hops, 0.05))
+        r = set_separation(SeparationQuery(lattice, far[0], far[1][None, :], hops))
         print(f"  l = {hops}: worst-link separation {r.value:.4f}")
 
 

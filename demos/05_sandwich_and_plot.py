@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from harnack import Ball, build_ball_chain, eac_estimate
+from harnack import Ball, Lattice, build_ball_chain, eac_estimate
 from harnack.cli import main as cli_main
 from harnack.svg import render_svg
 
@@ -39,7 +39,7 @@ def main():
         print("== SVG rendering ==")
         disk = Ball(np.zeros(2), 1.0)
         pts = np.array([[-0.5, 0.0], [0.5, 0.0]])
-        est = eac_estimate(disk, pts, grid_step=0.05)
+        est = eac_estimate(Lattice(disk, 0.05), pts)
         chain = build_ball_chain(disk, pts[0], pts[1], est.value + 0.1, est)
         doc = render_svg(disk, point_sets=[pts], chains=[chain])
         out = Path("sandwich_demo.svg")

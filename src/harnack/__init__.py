@@ -10,6 +10,7 @@ connectivity and via separation exponents of point sequences.
 from .geometry import (
     Ball,
     Box,
+    Lattice,
     Polygon2D,
     PointSet,
     UnionOfBalls,
@@ -26,7 +27,6 @@ from .exact import (
     ball_harnack_from_center,
     ball_harnack_two_points,
     disk_harnack_two_points,
-    enclosing_ball_lower_bound,
     poisson_witness_lower_bound,
 )
 from .entropy import (
@@ -55,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball",
     "Box",
+    "Lattice",
     "Polygon2D",
     "PointSet",
     "UnionOfBalls",
@@ -69,7 +70,6 @@ __all__ = [
     "ball_harnack_from_center",
     "ball_harnack_two_points",
     "disk_harnack_two_points",
-    "enclosing_ball_lower_bound",
     "poisson_witness_lower_bound",
     "BallChain",
     "EacEstimate",

@@ -67,8 +67,9 @@ def cmd_ball(args) -> int:
     return 0
 
 
-def _default_grid(domain) -> float:
-    return domain.bounding_diameter() / 30.0
+def _grid_step(args, domain) -> float:
+    """--grid, or by default a thirtieth of the domain's bounding diameter."""
+    return domain.bounding_diameter() / 30.0 if args.grid is None else args.grid
 
 
 def cmd_sandwich(args) -> int:
@@ -80,8 +81,10 @@ def cmd_sandwich(args) -> int:
         clear.append(geometry.dist_to_complement(domain, p))
         if not clear[-1] > 0.0:
             raise ValueError(f"point {p.tolist()} is not interior to the domain")
-    grid = args.grid if args.grid else _default_grid(domain)
+    grid = _grid_step(args, domain)
     hops = args.hops
+    if hops < 1:  # refused in any d, also where the grid bounds are inapplicable
+        raise ValueError("hops must be >= 1")
 
     uppers: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
@@ -103,13 +106,14 @@ def cmd_sandwich(args) -> int:
         inapplicable["eac_sharp"] = "segmental hull not certified inside the domain"
 
     # chain bound through a minimax separation witness
-    query = separation.SeparationQuery(domain, x, np.vstack([y]), hops, grid)
     try:
-        result = separation.set_separation(query)
-    except entropy.GridDimensionError:
+        lattice = geometry.Lattice(domain, grid)
+    except geometry.GridDimensionError:
         for name in ("set_hop", "chain_stated", "chain_proof_sharp"):
             inapplicable[name] = f"grid solver refuses d={domain.dim} > 3"
     else:
+        query = separation.SeparationQuery(lattice, x, np.vstack([y]), hops)
+        result = separation.set_separation(query)
         witness = result.per_target[0][1]
         if result.value < 1.0 and witness is not None:
             uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
@@ -158,11 +162,10 @@ def cmd_sandwich(args) -> int:
     return 0 if consistent else 1
 
 
-def _eac_payload(domain, pts, args):
-    grid = args.grid if args.grid else _default_grid(domain)
-    est = entropy.eac_estimate(domain, pts, grid)
+def _eac_payload(lattice, pts, args):
+    est = entropy.eac_estimate(lattice, pts)
     hull = entropy.eac_hull_bound(
-        domain,
+        lattice.domain,
         pts,
         args.hull,
         star_center=_parse_point(args.star_center) if args.star_center else None,
@@ -190,6 +193,11 @@ def _eac_payload(domain, pts, args):
 def cmd_set(args) -> int:
     domain = geometry.load_domain(args.domain)
     pts = geometry.load_point_set(args.set, domain)
+    if args.what != "eac":
+        if args.start is None:
+            raise ValueError(f"'set {args.what}' requires --start")
+        start = _parse_point(args.start)
+    lattice = geometry.Lattice(domain, _grid_step(args, domain))
     report = {
         "domain_id": os.path.basename(args.domain),
         "set_id": os.path.basename(args.set),
@@ -197,7 +205,7 @@ def cmd_set(args) -> int:
     }
 
     if args.what in ("eac", "bound"):
-        est, payload = _eac_payload(domain, pts, args)
+        est, payload = _eac_payload(lattice, pts, args)
         report["eac"] = payload
         report["eac_harnack_bound"] = None
         if math.isfinite(est.value):
@@ -209,11 +217,7 @@ def cmd_set(args) -> int:
                 }
 
     if args.what in ("sep", "bound"):
-        if args.start is None:
-            raise ValueError(f"'set {args.what}' requires --start")
-        start = _parse_point(args.start)
-        grid = args.grid if args.grid else _default_grid(domain)
-        query = separation.SeparationQuery(domain, start, pts, args.hops, grid)
+        query = separation.SeparationQuery(lattice, start, pts, args.hops)
         result = separation.set_separation(query)
         sep_payload = {
             "value": _fmt(result.value),
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except entropy.GridDimensionError as e:
+    except geometry.GridDimensionError as e:
         sys.stderr.write(f"error: {e}\n(hull bounds remain available for d > 3)\n")
         return 3
     except geometry.LatticeBudgetError as e:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .geometry import (
     Domain,
-    _interior_lattice,
+    GridDimensionError,
+    Lattice,
     certified_segment_clearances,
     diameter,
     dist_to_complement,
@@ -47,10 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_LEVELS = 24
-
-
-class GridDimensionError(ValueError):
-    """Raised when a grid solver is asked for a dimension it refuses (d > 3)."""
 
 
 @dataclass(frozen=True)
@@ -128,39 +125,34 @@ def dijkstra(csgraph, **kwargs):
     return scipy_dijkstra(csgraph, **kwargs)
 
 
-def _grid_graph(domain: Domain, grid_step: float):
-    """Interior lattice nodes with clearances, plus certified edges between
-    axis/diagonal neighbors (certification via endpoint+midpoint samples)."""
-    nodes, clear = _interior_lattice(domain, grid_step)
-    ii, jj = lattice_neighbors(nodes, grid_step, lattice_half_offsets((1,) * domain.dim))
+def _grid_graph(lattice: Lattice):
+    """Certified edges (ii, jj, lengths, cert) between axis/diagonal lattice
+    neighbours (certification via endpoint+midpoint samples)."""
+    nodes, clear = lattice.nodes, lattice.clear
+    ii, jj = lattice_neighbors(nodes, lattice.step, lattice_half_offsets((1,) * lattice.domain.dim))
     if ii.size:
         lengths = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
         mids = 0.5 * (nodes[ii] + nodes[jj])
-        cm = domain.clearance(mids)
+        cm = lattice.domain.clearance(mids)
         cert = np.minimum(np.minimum(clear[ii], clear[jj]), cm) - lengths / 4.0
     else:
         lengths = np.zeros(0)
         cert = np.zeros(0)
-    return nodes, clear, ii, jj, lengths, cert
+    return ii, jj, lengths, cert
 
 
-def default_clearance_levels(domain: Domain, pts, grid_step: float) -> np.ndarray:
-    """Geometric sweep of clearance levels up to the largest point clearance,
-    from the grid step or half the least point clearance, whichever is
-    smaller: a point closer to the boundary than about a grid step still
-    gets certified edges to the lattice at the lowest levels."""
-    clear = domain.clearance(points_array(pts, domain))
+def default_clearance_levels(clear: np.ndarray, grid_step: float) -> np.ndarray:
+    """Geometric sweep of clearance levels up to the largest of the point
+    clearances clear, from the grid step or half the least of them,
+    whichever is smaller: a point closer to the boundary than about a grid
+    step still gets certified edges to the lattice at the lowest levels."""
     lo = min(grid_step, float(clear.min()) / 2.0)
     return np.geomspace(lo, float(clear.max()), DEFAULT_LEVELS)
 
 
-def eac_estimate(
-    domain: Domain,
-    pts,
-    grid_step: float,
-    clearance_levels=None,
-) -> EacEstimate:
-    """Upper estimate of the entropy of linear connectivity of a finite set.
+def eac_estimate(lattice: Lattice, pts, clearance_levels=None) -> EacEstimate:
+    """Upper estimate of the entropy of linear connectivity of a finite set
+    of points of lattice.domain, on the lattice's grid.
 
     For each pair and each clearance level r, shortest paths are computed on
     the subgraph of grid nodes and edges certified at clearance >= r, and
@@ -179,15 +171,10 @@ def eac_estimate(
     certificate the estimator needs comes from one batch of clearance
     calls (certified_segment_clearances).
     """
+    domain, grid_step = lattice.domain, lattice.step
     p = points_array(pts, domain)
     if p.shape[0] == 0:
         raise ValueError("empty point set")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    if domain.dim > 3:
-        raise GridDimensionError(
-            f"grid estimator refuses d={domain.dim} > 3; use eac_hull_bound instead"
-        )
     clear_p = domain.clearance(p)
     if not np.all(clear_p > 0):
         raise ValueError("all points must be interior to the domain")
@@ -195,7 +182,7 @@ def eac_estimate(
     levels = (
         np.asarray(clearance_levels, dtype=float)
         if clearance_levels is not None
-        else default_clearance_levels(domain, p, grid_step)
+        else default_clearance_levels(clear_p, grid_step)
     )
     if np.any(levels <= 0) or np.any(np.diff(levels) < 0):
         raise ValueError("clearance levels must be positive and sorted")
@@ -204,7 +191,8 @@ def eac_estimate(
     if m == 1:
         return EacEstimate(0.0, {}, p, grid_step, tuple(levels.tolist()))
 
-    nodes, clear, ii, jj, lengths, cert = _grid_graph(domain, grid_step)
+    nodes, clear = lattice.nodes, lattice.clear
+    ii, jj, lengths, cert = _grid_graph(lattice)
     n = nodes.shape[0]
     reach = grid_step * math.sqrt(domain.dim)
     pa, pb = np.triu_indices(m, 1)

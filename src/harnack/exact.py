@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Domain, contains, enclosing_ball
+from .geometry import Ball, Domain, contains
 
 __all__ = [
     "LowerBoundCertificate",
     "ball_harnack_from_center",
     "ball_harnack_two_points",
     "disk_harnack_two_points",
-    "enclosing_ball_lower_bound",
     "poisson_witness_lower_bound",
 ]
 
@@ -31,7 +30,7 @@ __all__ = [
 class LowerBoundCertificate:
     """A certified lower bound on the Harnack distance with its witness."""
 
-    method: str  # "enclosing_ball" | "poisson_witness"
+    method: str  # the bound's name: "poisson_witness" from poisson_witness_lower_bound
     value: float
     witness: dict = field(default_factory=dict)
 
@@ -118,35 +117,6 @@ def disk_harnack_two_points(x, y, center=(0.0, 0.0), radius: float = 1.0) -> flo
     if np.size(x) != 2 or np.size(y) != 2 or np.size(center) != 2:
         raise ValueError("the disk oracle is 2-D only")
     return ball_harnack_two_points(x, y, center, radius)
-
-
-def enclosing_ball_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
-    """Lower bound from the exact value on a ball enclosing the domain.
-
-    Evaluates the ball formula for the enclosing balls centered at x and at
-    y and keeps the larger value.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    for p in (x, y):
-        if not contains(domain, p):
-            raise ValueError("both points must be interior to the domain")
-    rho = float(np.linalg.norm(x - y))
-    best_val = -math.inf
-    best_center = None
-    for c in (x, y):
-        r_enc = enclosing_ball(domain, c)
-        val = ball_harnack_from_center(domain.dim, r_enc, rho)
-        if val > best_val:
-            best_val, best_center = val, c
-    return LowerBoundCertificate(
-        method="enclosing_ball",
-        value=best_val,
-        witness={
-            "center": best_center.tolist(),
-            "radius": enclosing_ball(domain, best_center),
-            "rho": rho,
-        },
-    )
 
 
 def _poisson_ratio(x, y, zeta, center, radius: float) -> float:

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
     "dump_domain",
     "load_point_set",
     "dump_point_set",
-    "lattice_points",
+    "Lattice",
     "lattice_half_offsets",
     "lattice_neighbors",
     "segment_samples",
@@ -601,7 +601,7 @@ def enclosing_ball(domain: Domain, center) -> float:
 
 LATTICE_BUDGET = 1 << 22
 """Most lattice candidates (grid points in the bounding box) one lattice may
-have.  At this size `lattice_points` peaks at 288 MB of allocations
+have.  At this size a `Lattice` build peaks at 288 MB of allocations
 (`tracemalloc`) on the unit disk, 399 MB on the 3-D unit ball and 448 MB on
 an L-shaped hexagon, and an unpadded `lattice_neighbors` table over the box
 takes 32 MB.  The budget bounds the lattice only; the solves that run on it
@@ -626,38 +626,54 @@ def lattice_candidates(domain: Domain, step: float) -> float:
     return count
 
 
-def lattice_points(domain: Domain, step: float) -> np.ndarray:
-    """Grid nodes at integer multiples of step, strictly interior to the domain.
-
-    Raises `LatticeBudgetError` before allocating when the bounding box holds
-    more than `LATTICE_BUDGET` candidates."""
-    return _interior_lattice(domain, step)[0]
+class GridDimensionError(ValueError):
+    """Raised when a `Lattice` is asked for a dimension it refuses (d > 3)."""
 
 
-def _interior_lattice(domain: Domain, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """`lattice_points` and the nodes' clearances, kept from the one
-    clearance call that selects the nodes, so that no solver evaluates them
-    again."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"grid step must be positive and finite, got {step}")
-    count = lattice_candidates(domain, step)
-    if not count <= LATTICE_BUDGET:
-        raise LatticeBudgetError(
-            f"grid step {step:g} gives {count:.3g} lattice candidates, "
-            f"more than the budget of {LATTICE_BUDGET}"
-        )
-    lo, hi = domain.bounding_box()
-    axes = [
-        np.arange(math.ceil(l / step), math.floor(h / step) + 1) * step
-        for l, h in zip(lo, hi)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
-    if grid.shape[0] == 0:
-        return grid.reshape(0, domain.dim), np.zeros(0)
-    clear = domain.clearance(grid)
-    inside = clear > 0.0
-    return grid[inside], clear[inside]
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The grid nodes at integer multiples of step strictly interior to the
+    domain, with the clearances that selected them: one clearance call over
+    the candidates, so that no grid solver evaluates the nodes again.
+
+    Refuses a step that is not positive and finite, a domain of dimension
+    d > 3 (`GridDimensionError`), and, before allocating, a bounding box of
+    more than `LATTICE_BUDGET` candidates (`LatticeBudgetError`)."""
+
+    domain: Domain
+    step: float
+    nodes: np.ndarray = field(init=False, repr=False)
+    clear: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        domain, step = self.domain, self.step
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError(f"grid step must be positive and finite, got {step}")
+        if domain.dim > 3:
+            raise GridDimensionError(
+                f"grid lattice refuses d={domain.dim} > 3; use hull bounds instead"
+            )
+        count = lattice_candidates(domain, step)
+        if not count <= LATTICE_BUDGET:
+            raise LatticeBudgetError(
+                f"grid step {step:g} gives {count:.3g} lattice candidates, "
+                f"more than the budget of {LATTICE_BUDGET}"
+            )
+        lo, hi = domain.bounding_box()
+        axes = [
+            np.arange(math.ceil(l / step), math.floor(h / step) + 1) * step
+            for l, h in zip(lo, hi)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.column_stack([m.ravel() for m in mesh])
+        if grid.shape[0] == 0:
+            nodes, clear = grid.reshape(0, domain.dim), np.zeros(0)
+        else:
+            clear = domain.clearance(grid)
+            inside = clear > 0.0
+            nodes, clear = grid[inside], clear[inside]
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "clear", clear)
 
 
 def lattice_half_offsets(bounds) -> np.ndarray:

@@ -27,9 +27,8 @@ import numpy as np
 
 from .geometry import (
     Domain,
-    _interior_lattice,
+    Lattice,
     certified_segment_clearance,
-    contains,
     lattice_half_offsets,
     lattice_neighbors,
     points_array,
@@ -103,26 +102,22 @@ def sequence_separation(domain: Domain, points) -> float:
 
 @dataclass(frozen=True)
 class SeparationQuery:
-    domain: Domain
+    """A set-separation problem on a lattice; the solve checks that the
+    start and the targets are interior to lattice.domain."""
+
+    lattice: Lattice
     start: np.ndarray
     targets: np.ndarray
     hops: int
-    grid_step: float
     neighbor_radius: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
         object.__setattr__(
-            self, "targets", points_array(self.targets, self.domain)
+            self, "targets", points_array(self.targets, self.lattice.domain)
         )
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
-        if not contains(self.domain, self.start):
-            raise ValueError("start point must be interior to the domain")
-        if not np.all(self.domain.clearance(self.targets) > 0):
-            raise ValueError("all targets must be interior to the domain")
 
 
 @dataclass(frozen=True)
@@ -139,12 +134,11 @@ _NO_EDGES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
 
 
 class SeparationSolver:
-    """Hop-limited minimax path solver on a grid discretization of a domain.
+    """Hop-limited minimax path solver on the grid nodes of a lattice.
 
-    Grid nodes are interior lattice points.  Edge cost is the pair
-    separation |p_i - p_j| / (c_i + c_j), and edges with cost >= 1 are
-    dropped.  The edges are
-      - grid-grid pairs within the neighbor radius (default 4 * grid_step),
+    Edge cost is the pair separation |p_i - p_j| / (c_i + c_j), and edges
+    with cost >= 1 are dropped.  The edges are
+      - grid-grid pairs within the neighbor radius (default 4 * lattice.step),
         found from integer lattice offsets;
       - the start and each target to every grid node;
       - all pairs among the start and the targets;
@@ -163,33 +157,25 @@ class SeparationSolver:
     tie rule and the witness polylines are those of the full edge list.
     """
 
-    def __init__(self, domain: Domain, grid_step: float, neighbor_radius: float | None = None):
-        if domain.dim > 3:
-            from .entropy import GridDimensionError
-
-            raise GridDimensionError(
-                f"grid solver refuses d={domain.dim} > 3; use hull bounds instead"
-            )
-        self.domain = domain
-        self.grid_step = grid_step
+    def __init__(self, lattice: Lattice, neighbor_radius: float | None = None):
+        self.lattice = lattice
         self.neighbor_radius = (
-            4.0 * grid_step if neighbor_radius is None else neighbor_radius
+            4.0 * lattice.step if neighbor_radius is None else neighbor_radius
         )
-        self.nodes, self.clear = _interior_lattice(domain, grid_step)
 
     @functools.cached_property
     def _grid_edges(self):
         """Grid-grid edges (src, dst, cost) in both directions, built on the
         first solve that can use them."""
-        nodes, clear = self.nodes, self.clear
+        nodes, clear, step = self.lattice.nodes, self.lattice.clear, self.lattice.step
         if nodes.shape[0] == 0:
             return _NO_EDGES
         # a slightly wider integer reach, so that the float test below decides
-        reach = self.neighbor_radius / self.grid_step * (1.0 + 1e-9)
-        span = np.rint(np.ptp(nodes, axis=0) / self.grid_step)
+        reach = self.neighbor_radius / step * (1.0 + 1e-9)
+        span = np.rint(np.ptp(nodes, axis=0) / step)
         offsets = lattice_half_offsets(np.minimum(span, np.floor(reach)).astype(int))
         offsets = offsets[(offsets**2).sum(axis=1) <= reach * reach]
-        ii, jj = lattice_neighbors(nodes, self.grid_step, offsets)
+        ii, jj = lattice_neighbors(nodes, step, offsets)
         diff = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
         cost = diff / (clear[ii] + clear[jj])
         keep = (diff <= self.neighbor_radius) & (cost < 1.0)
@@ -197,19 +183,22 @@ class SeparationSolver:
         return np.concatenate([ii, jj]), np.concatenate([jj, ii]), np.concatenate([cost, cost])
 
     def solve(self, start, targets, hops: int):
+        if hops < 1:
+            raise ValueError("hops must be >= 1")
+        nodes, clear, domain = self.lattice.nodes, self.lattice.clear, self.lattice.domain
         start = np.asarray(start, dtype=float)
-        targets = points_array(targets, self.domain)
-        n_grid = self.nodes.shape[0]
-        pts = np.vstack([self.nodes, start[None, :], targets])
+        targets = points_array(targets, domain)
+        n_grid = nodes.shape[0]
+        pts = np.vstack([nodes, start[None, :], targets])
         extra = pts[n_grid:]
-        c_extra = self.domain.clearance(extra)
+        c_extra = domain.clearance(extra)
         if np.any(c_extra <= 0):
             raise ValueError("start and targets must be interior to the domain")
         n = pts.shape[0]
 
         # start/targets to grid nodes, as an (m+1, N) array
-        diff = np.linalg.norm(extra[:, None, :] - self.nodes[None, :, :], axis=2)
-        cost = diff / (c_extra[:, None] + self.clear[None, :])
+        diff = np.linalg.norm(extra[:, None, :] - nodes[None, :, :], axis=2)
+        cost = diff / (c_extra[:, None] + clear[None, :])
         a, g = np.nonzero(cost < 1.0)
         to_grid = cost[a, g]
         a += n_grid
@@ -265,9 +254,9 @@ def set_separation(query: SeparationQuery) -> SeparationResult:
     result over-estimates the true separation and stays usable as q in the
     set bound.  Unreachable targets get value +inf.
     """
-    solver = SeparationSolver(query.domain, query.grid_step, query.neighbor_radius)
+    solver = SeparationSolver(query.lattice, query.neighbor_radius)
     value, per_target = solver.solve(query.start, query.targets, query.hops)
-    return SeparationResult(value, per_target, query.hops, query.grid_step)
+    return SeparationResult(value, per_target, query.hops, query.lattice.step)
 
 
 def set_harnack_bound(result, hops: int, dim: int) -> float:

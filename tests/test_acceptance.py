@@ -21,12 +21,8 @@ from harnack.entropy import (
     eac_harnack_bound,
     eac_hull_bound,
 )
-from harnack.exact import (
-    ball_harnack_from_center,
-    disk_harnack_two_points,
-    enclosing_ball_lower_bound,
-)
-from harnack.geometry import Ball, Box
+from harnack.exact import ball_harnack_from_center, disk_harnack_two_points
+from harnack.geometry import Ball, Box, Lattice
 from harnack.separation import (
     SeparationQuery,
     SeparationSolver,
@@ -85,7 +81,7 @@ def test_criterion_2_disk_normalization():
 def test_criterion_3_soundness_sandwich_on_disks():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
-    solver = SeparationSolver(UNIT_DISK, 0.1)
+    solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
     checked = 0
     while checked < 200:
         x, y = rng.uniform(-0.9, 0.9, size=(2, 2))
@@ -95,7 +91,8 @@ def test_criterion_3_soundness_sandwich_on_disks():
         if q >= 0.95:
             continue
         exact = disk_harnack_two_points(x, y)
-        lower = enclosing_ball_lower_bound(UNIT_DISK, x, y).value
+        rho = float(np.linalg.norm(x - y))
+        lower = max(ball_harnack_from_center(2, UNIT_DISK.enclosing_radius(c), rho) for c in (x, y))
         assert lower <= exact + 1e-9
 
         uppers = [
@@ -139,7 +136,7 @@ def test_criterion_5_worked_numbers():
 
 def test_criterion_6_eac_estimator_accuracy():
     t0 = time.perf_counter()
-    est = eac_estimate(UNIT_DISK, np.array([[-0.5, 0.0], [0.5, 0.0]]), grid_step=0.02)
+    est = eac_estimate(Lattice(UNIT_DISK, 0.02), np.array([[-0.5, 0.0], [0.5, 0.0]]))
     elapsed = time.perf_counter() - t0
     assert 2.0 <= est.value <= 2.1
     assert elapsed < 10.0
@@ -164,7 +161,7 @@ def test_criterion_7_ball_chain_certificates():
             ):
                 pts.append(p)
         x, y = pts
-        est = eac_estimate(domain, np.vstack([x, y]), grid_step=0.15)
+        est = eac_estimate(Lattice(domain, 0.15), np.vstack([x, y]))
         assert math.isfinite(est.value)
         budget = est.value * 1.01 + 1e-9
         chain = build_ball_chain(domain, x, y, budget, est)
@@ -179,11 +176,11 @@ def test_criterion_7_ball_chain_certificates():
 
 def test_criterion_8_minimax_oracle_equivalence():
     t0 = time.perf_counter()
-    solver = SeparationSolver(UNIT_BOX, 0.2, neighbor_radius=10.0)
-    assert solver.nodes.shape[0] == 81
+    solver = SeparationSolver(Lattice(UNIT_BOX, 0.2), neighbor_radius=10.0)
+    assert solver.lattice.nodes.shape[0] == 81
     start = np.array([-0.7, -0.3])
     targets = np.array([[0.7, 0.5], [0.1, -0.7], [0.5, 0.1]])
-    pts = np.vstack([solver.nodes, start[None, :], targets])
+    pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
     n = pts.shape[0]
     cost = np.full((n, n), np.inf)
     for i in range(n):
@@ -211,15 +208,15 @@ def test_criterion_9_monotonicity_properties():
     start = np.array([-0.6, 0.0])
     targets = np.array([[0.5, 0.3]])
     vals = [
-        set_separation(SeparationQuery(UNIT_DISK, start, targets, l, 0.1)).value
+        set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, l)).value
         for l in (1, 2, 3, 4)
     ]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     levels = np.geomspace(0.05, 0.5, 12)
     pair = np.array([[-0.5, 0.0], [0.5, 0.0]])
-    small = eac_estimate(UNIT_BOX, pair, 0.1, levels)
-    big = eac_estimate(UNIT_BOX, np.vstack([pair, [[0.0, 0.6]]]), 0.1, levels)
+    small = eac_estimate(Lattice(UNIT_BOX, 0.1), pair, levels)
+    big = eac_estimate(Lattice(UNIT_BOX, 0.1), np.vstack([pair, [[0.0, 0.6]]]), levels)
     assert small.value <= big.value
 
     qs = np.linspace(0.0, 0.99, 100)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from harnack import cli, geometry
 from harnack.cli import main
 from harnack.entropy import EacEstimate, PairRecord, build_ball_chain
-from harnack.exact import enclosing_ball_lower_bound
+from harnack.exact import ball_harnack_from_center
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 # 8 points in the three-ball union at clearance 0.02-0.06
@@ -161,6 +161,11 @@ class TestSandwich:
     def test_exterior_point_exits_2(self, capsys, disk_file):
         assert main(["sandwich", "--domain", disk_file, "--pair=0,0;2,0"]) == 2
 
+    @pytest.mark.parametrize("grid", ["0", "-0.1"])
+    def test_non_positive_grid_exits_2(self, capsys, disk_file, grid):
+        assert main(["sandwich", "--domain", disk_file, "--pair=0,0;0.1,0", "--grid", grid]) == 2
+        assert "grid step must be positive and finite" in capsys.readouterr().err
+
     def test_4d_ball_lists_the_grid_bounds_as_inapplicable(self, capsys, tmp_path):
         ball = tmp_path / "ball4.json"
         ball.write_text(json.dumps({"dim": 4, "shape": {"type": "ball", "center": [0] * 4, "radius": 1}}))
@@ -189,9 +194,15 @@ class TestSandwich:
         code, out = run(capsys, ["sandwich", "--domain", str(poly), "--pair=-0.5,-0.5;0.5,-0.6"])
         assert code == 0
         assert "chain_proof_sharp" in json.loads(out)["uppers"]
-        # x and y 2, hull bound 1, query 2, lattice 1, solve 1, two chains 2,
-        # lower bound 2
-        assert len(calls) <= 11
+        # x and y 2, hull bound 1, lattice 1, solve 1, two chains 2, lower bound 2
+        assert len(calls) <= 9
+
+    def test_4d_ball_refuses_hops_below_one(self, capsys, tmp_path):
+        ball = tmp_path / "ball4.json"
+        ball.write_text(json.dumps({"dim": 4, "shape": {"type": "ball", "center": [0] * 4, "radius": 1}}))
+        argv = ["sandwich", "--domain", str(ball), "--pair=0.1,0,0,0;-0.3,0.2,0,0", "--hops", "0"]
+        assert main(argv) == 2
+        assert "hops must be >= 1" in capsys.readouterr().err
 
 
 class TestParser:
@@ -334,6 +345,13 @@ class TestSet:
         assert report["sep"]["value"] < 1.0
         assert report["sep_harnack_bound"] > 1.0
 
+    @pytest.mark.parametrize("grid", ["0", "-0.1"])
+    def test_sep_non_positive_grid_exits_2(self, capsys, disk_file, pair_file, grid):
+        argv = ["set", "sep", "--domain", disk_file, "--set", pair_file, "--start=-0.4,0",
+                "--grid", grid]
+        assert main(argv) == 2
+        assert "grid step must be positive and finite" in capsys.readouterr().err
+
     def test_sep_bound_overflow_is_null(self, capsys, disk_file, pair_file):
         code, out = run(
             capsys,
@@ -361,6 +379,22 @@ class TestSet:
         jsonschema.validate(report, schema("set_report.schema.json"))
         assert "eac_harnack_bound" in report
         assert "sep_harnack_bound" in report
+
+    def test_bound_evaluates_the_lattice_candidates_once(self, capsys, monkeypatch, disk_file, pair_file):
+        sizes = []
+        clearance = geometry.Ball.clearance
+
+        def recording(self, pts):
+            sizes.append(len(np.atleast_2d(pts)))
+            return clearance(self, pts)
+
+        monkeypatch.setattr(geometry.Ball, "clearance", recording)
+        argv = ["set", "bound", "--domain", disk_file, "--set", pair_file, "--start=-0.4,0",
+                "--grid", "0.1"]
+        code, _ = run(capsys, argv)
+        assert code == 0
+        candidates = geometry.lattice_candidates(geometry.load_domain(disk_file), 0.1)
+        assert sizes.count(candidates) == 1
 
     def test_dimension_refusal_exits_3(self, capsys, box3d_file, tmp_path):
         pts = tmp_path / "p4.json"
@@ -554,7 +588,8 @@ class TestSandwichSoundnessOnBalls:
         uppers = [v for v in report["uppers"].values() if v is not None]
         assert lower <= exact
         assert all(exact <= u * (1 + 1e-12) for u in uppers)
-        enclosing = enclosing_ball_lower_bound(geometry.Ball(c, radius), x, y).value
+        ball, rho = geometry.Ball(c, radius), float(np.linalg.norm(x - y))
+        enclosing = max(ball_harnack_from_center(dim, ball.enclosing_radius(p), rho) for p in (x, y))
         assert lower >= enclosing * (1 - 1e-11)
         assert report["verdict"] == "consistent"
         assert code == 0

@@ -21,8 +21,8 @@ from harnack.geometry import (
     Polygon2D,
     UnionOfBalls,
     certified_segment_clearance,
+    Lattice,
     lattice_candidates,
-    lattice_points,
 )
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
@@ -54,42 +54,40 @@ class TestHullBound:
 
 class TestEstimator:
     def test_disk_pair_value(self):
-        est = eac_estimate(UNIT_DISK, PAIR, grid_step=0.05)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.05), PAIR)
         assert 2.0 <= est.value <= 2.1
         assert est.certified_upper
 
     def test_box_pair_value(self):
-        est = eac_estimate(UNIT_BOX, PAIR, grid_step=0.05)
+        est = eac_estimate(Lattice(UNIT_BOX, 0.05), PAIR)
         assert 2.0 <= est.value <= 2.1
 
     def test_singleton(self):
-        est = eac_estimate(UNIT_DISK, [(0.2, 0.2)], grid_step=0.1)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.1), [(0.2, 0.2)])
         assert est.value == 0.0
         assert est.per_pair == {}
 
     def test_set_monotone_same_grid(self):
         levels = np.geomspace(0.05, 0.5, 12)
-        small = eac_estimate(UNIT_BOX, PAIR, 0.1, levels)
-        big = eac_estimate(
-            UNIT_BOX, np.vstack([PAIR, [[0.0, 0.6]]]), 0.1, levels
-        )
+        small = eac_estimate(Lattice(UNIT_BOX, 0.1), PAIR, levels)
+        big = eac_estimate(Lattice(UNIT_BOX, 0.1), np.vstack([PAIR, [[0.0, 0.6]]]), levels)
         assert small.value <= big.value
 
     def test_domain_antimonotone_within_tolerance(self):
         # exact for true entropies; the discretized estimator may deviate
         # by grid slack, hence the documented 10% tolerance
         levels = np.geomspace(0.05, 0.5, 12)
-        inner = eac_estimate(UNIT_DISK, PAIR, 0.05, levels)
-        outer = eac_estimate(Ball(np.zeros(2), 2.0), PAIR, 0.05, None)
+        inner = eac_estimate(Lattice(UNIT_DISK, 0.05), PAIR, levels)
+        outer = eac_estimate(Lattice(Ball(np.zeros(2), 2.0), 0.05), PAIR, None)
         assert inner.value >= outer.value * (1 - 0.10)
 
     def test_hull_domination(self):
-        est = eac_estimate(UNIT_BOX, PAIR, 0.05)
+        est = eac_estimate(Lattice(UNIT_BOX, 0.05), PAIR)
         hull = eac_hull_bound(UNIT_BOX, PAIR, "segmental", 0.005)
         assert est.value <= hull + 0.05
 
     def test_polyline_feasibility(self):
-        est = eac_estimate(UNIT_DISK, np.array([[-0.5, 0.2], [0.4, -0.3]]), 0.05)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.05), np.array([[-0.5, 0.2], [0.4, -0.3]]))
         for rec in est.per_pair.values():
             poly = rec.polyline
             for a, b in zip(poly[:-1], poly[1:]):
@@ -101,23 +99,23 @@ class TestEstimator:
     def test_refuses_high_dimension(self):
         cube4 = Box(-np.ones(4), np.ones(4))
         with pytest.raises(GridDimensionError):
-            eac_estimate(cube4, [(0, 0, 0, 0), (0.5, 0, 0, 0)], 0.25)
+            eac_estimate(Lattice(cube4, 0.25), [(0, 0, 0, 0), (0.5, 0, 0, 0)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            eac_estimate(UNIT_DISK, np.zeros((0, 2)), 0.1)
+            eac_estimate(Lattice(UNIT_DISK, 0.1), np.zeros((0, 2)))
 
 
 class TestBallChain:
     def test_degenerate_pair(self):
-        est = eac_estimate(UNIT_DISK, PAIR, 0.1)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.1), PAIR)
         x = np.array([-0.5, 0.0])
         chain = build_ball_chain(UNIT_DISK, x, x, 1.0, est)
         assert chain.hops == 0
         assert np.array_equal(chain.centers, np.vstack([x, x]))
 
     def test_disk_diameter_chain(self):
-        est = eac_estimate(UNIT_DISK, PAIR, 0.02)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.02), PAIR)
         chain = build_ball_chain(UNIT_DISK, PAIR[0], PAIR[1], 2.05, est)
         gaps = np.linalg.norm(np.diff(chain.centers, axis=0), axis=1)
         assert np.all(gaps <= chain.radius / 2 + 1e-12)  # (B1)
@@ -126,25 +124,25 @@ class TestBallChain:
         assert np.all(UNIT_DISK.clearance(chain.centers) >= chain.radius - 1e-12)
 
     def test_huge_budget_same_chain(self):
-        est = eac_estimate(UNIT_DISK, PAIR, 0.02)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.02), PAIR)
         c1 = build_ball_chain(UNIT_DISK, PAIR[0], PAIR[1], 2.05, est)
         c2 = build_ball_chain(UNIT_DISK, PAIR[0], PAIR[1], 100.0, est)
         assert np.array_equal(c1.centers, c2.centers)
         assert c2.hops <= 200
 
     def test_endpoints_are_the_pair(self):
-        est = eac_estimate(UNIT_BOX, PAIR, 0.05)
+        est = eac_estimate(Lattice(UNIT_BOX, 0.05), PAIR)
         chain = build_ball_chain(UNIT_BOX, PAIR[0], PAIR[1], 3.0, est)
         assert np.array_equal(chain.centers[0], PAIR[0])
         assert np.array_equal(chain.centers[-1], PAIR[1])
 
     def test_budget_must_exceed_estimate(self):
-        est = eac_estimate(UNIT_DISK, PAIR, 0.05)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.05), PAIR)
         with pytest.raises(ValueError, match="strictly exceed"):
             build_ball_chain(UNIT_DISK, PAIR[0], PAIR[1], est.value, est)
 
     def test_missing_pair_rejected(self):
-        est = eac_estimate(UNIT_DISK, PAIR, 0.1)
+        est = eac_estimate(Lattice(UNIT_DISK, 0.1), PAIR)
         with pytest.raises(KeyError):
             build_ball_chain(UNIT_DISK, np.array([0.1, 0.1]), PAIR[1], 5.0, est)
 
@@ -181,7 +179,7 @@ class TestHarnackBound:
 
 def _dict_loop_graph(domain, grid_step):
     """The former per-node dictionary walk over the half neighborhood."""
-    nodes = lattice_points(domain, grid_step)
+    nodes = Lattice(domain, grid_step).nodes
     clear = domain.clearance(nodes)
     d = domain.dim
     keys = np.rint(nodes / grid_step).astype(int)
@@ -218,7 +216,7 @@ GRAPH_DOMAINS = [
     "domain,step", GRAPH_DOMAINS, ids=["disk", "box", "L", "union3", "ball3d", "box3d", "union3d"]
 )
 def test_grid_graph_matches_dict_loop(domain, step):
-    _, _, ii, jj, lengths, cert = _grid_graph(domain, step)
+    ii, jj, lengths, cert = _grid_graph(Lattice(domain, step))
     want = _dict_loop_graph(domain, step)
     assert ii.size > 0
     for got, ref in zip((ii, jj, lengths, cert), want):
@@ -235,11 +233,12 @@ def test_grid_graph_evaluates_lattice_clearances_once(monkeypatch):
         return clearance(self, pts)
 
     monkeypatch.setattr(Polygon2D, "clearance", recording)
-    nodes, clear, ii, _, _, _ = _grid_graph(domain, 0.1)
+    lattice = Lattice(domain, 0.1)
+    ii, _, _, _ = _grid_graph(lattice)
     # the lattice candidates once, then the edge midpoints
     assert sizes == [lattice_candidates(domain, 0.1), ii.size]
     monkeypatch.setattr(Polygon2D, "clearance", clearance)
-    assert np.array_equal(clear, domain.clearance(nodes))
+    assert np.array_equal(lattice.clear, domain.clearance(lattice.nodes))
 
 
 # --- the per-pair estimator: one graph and one Dijkstra call per pair and level
@@ -299,7 +298,9 @@ def _level_shortest_path(
 def per_pair_estimate(domain, p, grid_step, levels):
     """Reference estimator: every pair and level gets its own graph with
     the lattice and that pair alone."""
-    nodes, clear, ii, jj, lengths, cert = _grid_graph(domain, grid_step)
+    lattice = Lattice(domain, grid_step)
+    nodes, clear = lattice.nodes, lattice.clear
+    ii, jj, lengths, cert = _grid_graph(lattice)
     n = nodes.shape[0]
     reach = grid_step * math.sqrt(domain.dim)
     per_pair = {}
@@ -376,7 +377,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_batched_estimator_matches_per_pair_graphs(name):
     domain, p, grid_step, levels = ORACLE_CASES[name]
-    est = eac_estimate(domain, p, grid_step, levels)
+    est = eac_estimate(Lattice(domain, grid_step), p, levels)
     want = per_pair_estimate(domain, p, grid_step, est.clearance_levels)
     assert est.per_pair.keys() == want.keys()
     for key, rec in est.per_pair.items():
@@ -392,13 +393,13 @@ def test_oracle_cases_reach_the_special_paths():
     _, p, h, _ = ORACLE_CASES["disk-direct-edge"]
     assert np.linalg.norm(p[0] - p[1]) <= h * math.sqrt(2)
     domain, p, h, levels = ORACLE_CASES["union-3-high-levels"]
-    assert levels[-1] > domain.clearance(lattice_points(domain, h)).max()
+    assert levels[-1] > domain.clearance(Lattice(domain, h).nodes).max()
     domain, p, h, levels = ORACLE_CASES["union-near-boundary-former-levels"]
-    assert not math.isfinite(eac_estimate(domain, p, h, levels).value)
+    assert not math.isfinite(eac_estimate(Lattice(domain, h), p, levels).value)
 
 
 def test_near_boundary_set_gets_witnesses():
-    est = eac_estimate(UNION3, NEAR_BOUNDARY, 0.05)
+    est = eac_estimate(Lattice(UNION3, 0.05), NEAR_BOUNDARY)
     assert est.clearance_levels[0] == pytest.approx(UNION3.clearance(NEAR_BOUNDARY).min() / 2)
     assert math.isfinite(est.value)
     for (i, j), rec in est.per_pair.items():
@@ -407,7 +408,7 @@ def test_near_boundary_set_gets_witnesses():
 
 def test_levels_unchanged_when_points_are_two_steps_inside():
     p = seeded_points(L_POLYGON, 12, 0.1, 6)
-    levels = default_clearance_levels(L_POLYGON, p, 0.05)
+    levels = default_clearance_levels(L_POLYGON.clearance(p), 0.05)
     assert np.array_equal(levels, former_levels(L_POLYGON, p, 0.05))
 
 
@@ -419,8 +420,11 @@ def test_dijkstra_once_per_level_and_clearance_calls_independent_of_set_size(mon
         calls["dijkstra"] += 1
         return dijkstra(*args, **kwargs)
 
+    sizes = []
+
     def counting_clearance(self, pts):
         calls["clearance"] += 1
+        sizes.append(len(pts))
         return clearance(self, pts)
 
     points = seeded_points(L_POLYGON, 12, 0.1, 7)
@@ -429,7 +433,9 @@ def test_dijkstra_once_per_level_and_clearance_calls_independent_of_set_size(mon
     clearance_calls = []
     for m in (3, 12):
         calls.update(dijkstra=0, clearance=0)
-        est = eac_estimate(L_POLYGON, points[:m], 0.05)
+        sizes.clear()
+        est = eac_estimate(Lattice(L_POLYGON, 0.05), points[:m])
         assert calls["dijkstra"] == len(est.clearance_levels)
+        assert sizes.count(m) == 1  # the point clearances serve the levels too
         clearance_calls.append(calls["clearance"])
     assert clearance_calls[0] == clearance_calls[1]

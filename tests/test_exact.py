@@ -8,13 +8,20 @@ from harnack.exact import (
     ball_harnack_from_center,
     ball_harnack_two_points,
     disk_harnack_two_points,
-    enclosing_ball_lower_bound,
     poisson_witness_lower_bound,
 )
 from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+def _enclosing_ball_value(domain, x, y):
+    """The larger exact value of the smallest balls enclosing the domain
+    centred at x and at y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rho = float(np.linalg.norm(x - y))
+    return max(ball_harnack_from_center(domain.dim, domain.enclosing_radius(c), rho) for c in (x, y))
 
 
 class TestBallFormula:
@@ -107,31 +114,6 @@ class TestDiskOracle:
             disk_harnack_two_points((0, 0, 0), (0.5, 0, 0))
 
 
-class TestEnclosingBallLowerBound:
-    def test_tight_on_the_disk_itself(self):
-        cert = enclosing_ball_lower_bound(UNIT_DISK, (0, 0), (0.5, 0))
-        assert cert.value == pytest.approx(3.0, rel=1e-12)
-        assert cert.method == "enclosing_ball"
-
-    def test_box(self):
-        cert = enclosing_ball_lower_bound(UNIT_BOX, (0, 0), (0.5, 0))
-        want = (math.sqrt(2) + 0.5) / (math.sqrt(2) - 0.5)
-        assert cert.value == pytest.approx(want, rel=1e-12)
-
-    def test_coincident_gives_one(self):
-        assert enclosing_ball_lower_bound(UNIT_BOX, (0.3, 0.3), (0.3, 0.3)).value == 1.0
-
-    def test_symmetric_in_arguments(self):
-        a, b = (0.2, -0.3), (-0.5, 0.1)
-        v1 = enclosing_ball_lower_bound(UNIT_BOX, a, b).value
-        v2 = enclosing_ball_lower_bound(UNIT_BOX, b, a).value
-        assert v1 == v2
-
-    def test_exterior_rejected(self):
-        with pytest.raises(ValueError, match="interior"):
-            enclosing_ball_lower_bound(UNIT_DISK, (2, 0), (0, 0))
-
-
 class TestPoissonWitness:
     def test_coincident_gives_one(self):
         assert poisson_witness_lower_bound(UNIT_BOX, (0.1, 0.1), (0.1, 0.1)).value == 1.0
@@ -145,7 +127,7 @@ class TestPoissonWitness:
     def test_box_dominates_enclosing_ball_bound(self):
         for pair in [((0, 0), (0.5, 0)), ((-0.3, 0.2), (0.4, -0.5))]:
             poi = poisson_witness_lower_bound(UNIT_BOX, *pair).value
-            enc = enclosing_ball_lower_bound(UNIT_BOX, *pair).value
+            enc = _enclosing_ball_value(UNIT_BOX, *pair)
             assert poi >= enc - 1e-6
 
     def test_lower_bounds_below_disk_exact(self):
@@ -153,7 +135,7 @@ class TestPoissonWitness:
         for _ in range(30):
             a, b = rng.uniform(-0.6, 0.6, size=(2, 2))
             exact = disk_harnack_two_points(a, b)
-            assert enclosing_ball_lower_bound(UNIT_DISK, a, b).value <= exact + 1e-9
+            assert _enclosing_ball_value(UNIT_DISK, a, b) <= exact + 1e-9
             assert poisson_witness_lower_bound(UNIT_DISK, a, b).value <= exact + 1e-9
 
     def test_symmetric_in_arguments(self):
@@ -165,7 +147,7 @@ class TestPoissonWitness:
     def test_3d_sampling(self):
         cube = Box(-np.ones(3), np.ones(3))
         cert = poisson_witness_lower_bound(cube, (0, 0, 0), (0.5, 0, 0))
-        assert cert.value >= enclosing_ball_lower_bound(cube, (0, 0, 0), (0.5, 0, 0)).value - 1e-6
+        assert cert.value >= _enclosing_ball_value(cube, (0, 0, 0), (0.5, 0, 0)) - 1e-6
 
 
 def _mp_ball_harnack(x, y, center, radius, dps=40):
@@ -392,7 +374,7 @@ class TestPoissonWitnessCertificate:
     def test_never_below_the_enclosing_ball_bound(self, name):
         domain = WITNESS_DOMAINS[name]
         for x, y in _interior_pairs(domain, 30, 6):
-            enc = enclosing_ball_lower_bound(domain, x, y).value
+            enc = _enclosing_ball_value(domain, x, y)
             assert poisson_witness_lower_bound(domain, x, y).value >= enc * (1 - 1e-13)
 
     @pytest.mark.parametrize("name", ["disk", "ball3d", "ball4d"])

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import geometry
+from harnack import entropy, geometry
 from harnack.geometry import (
     Ball,
     Box,
+    Lattice,
     PointSet,
     Polygon2D,
     UnionOfBalls,
@@ -23,7 +24,6 @@ from harnack.geometry import (
     domain_to_dict,
     enclosing_ball,
     hull_clearance,
-    lattice_points,
 )
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
@@ -363,9 +363,30 @@ class TestFileFormat:
 
 class TestLattice:
     def test_nine_by_nine_inside_unit_box(self):
-        nodes = lattice_points(UNIT_BOX, 0.2)
+        nodes = Lattice(UNIT_BOX, 0.2).nodes
         assert nodes.shape == (81, 2)
         assert np.all(UNIT_BOX.clearance(nodes) > 0)
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_DOMAINS))
+    def test_keeps_the_clearances_of_its_nodes(self, name):
+        domain = SEGMENT_DOMAINS[name]
+        lattice = Lattice(domain, 0.1)
+        assert lattice.nodes.shape[0] > 0 and lattice.clear.shape == lattice.nodes.shape[:1]
+        assert np.array_equal(lattice.clear, domain.clearance(lattice.nodes))
+        assert np.all(lattice.clear > 0)
+        assert np.array_equal(np.rint(lattice.nodes / 0.1) * 0.1, lattice.nodes)
+
+    def test_is_frozen(self):
+        lattice = Lattice(UNIT_DISK, 0.1)
+        with pytest.raises(AttributeError):
+            lattice.step = 0.2
+
+    def test_refuses_high_dimension_before_the_budget(self):
+        cube4 = Box(-np.ones(4), np.ones(4))
+        # 2^44 candidates: the dimension is refused first
+        with pytest.raises(geometry.GridDimensionError, match="d=4 > 3"):
+            Lattice(cube4, 2.0**-10)
+        assert entropy.GridDimensionError is geometry.GridDimensionError
 
     def test_candidates_match_the_mesh_size(self):
         rng = np.random.default_rng(11)
@@ -388,9 +409,9 @@ class TestLattice:
         tracemalloc.start()
         try:
             with pytest.raises(geometry.LatticeBudgetError, match="lattice candidates"):
-                lattice_points(UNIT_DISK, 1e-4)
+                Lattice(UNIT_DISK, 1e-4)
             with pytest.raises(geometry.LatticeBudgetError, match="inf lattice candidates"):
-                lattice_points(UNIT_DISK, 1e-320)
+                Lattice(UNIT_DISK, 1e-320)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,7 +420,7 @@ class TestLattice:
     @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
     def test_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError, match="positive and finite"):
-            lattice_points(UNIT_DISK, step)
+            Lattice(UNIT_DISK, step)
 
     def test_budget_admits_its_own_size(self, monkeypatch):
         class MeshBuilt(Exception):
@@ -414,10 +435,10 @@ class TestLattice:
         square = Box(np.zeros(2), np.full(2, 2047 * step))
         assert geometry.lattice_candidates(square, step) == geometry.LATTICE_BUDGET
         with pytest.raises(MeshBuilt):
-            lattice_points(square, step)
+            Lattice(square, step)
         wider = Box(np.zeros(2), np.array([2047 * step, 2048 * step]))
         with pytest.raises(geometry.LatticeBudgetError):
-            lattice_points(wider, step)
+            Lattice(wider, step)
 
 
 def _row_clearance(domain, p):
@@ -521,7 +542,7 @@ class TestLatticeNeighbors:
     @pytest.mark.parametrize("name", sorted(NEIGHBOR_LATTICES))
     def test_matches_the_searchsorted_loop(self, name):
         domain, step = NEIGHBOR_LATTICES[name]
-        nodes = lattice_points(domain, step)
+        nodes = Lattice(domain, step).nodes
         keys = np.rint(nodes / step).astype(np.int64)
         span = keys.max(axis=0) - keys.min(axis=0)
         half = geometry.lattice_half_offsets
@@ -537,13 +558,13 @@ class TestLatticeNeighbors:
         assert self.assert_same(nodes, step, long)[0].size == 0
 
     def test_unsorted_nodes_and_mixed_signs(self):
-        nodes = lattice_points(UNIT_DISK, 0.1)[::-1].copy()
+        nodes = Lattice(UNIT_DISK, 0.1).nodes[::-1].copy()
         rng = np.random.default_rng(3)
         nodes = nodes[rng.permutation(nodes.shape[0])]
         self.assert_same(nodes, 0.1, np.array([[1, -2], [0, 3], [2, 2], [-1, 1]]))
 
     def test_empty_offsets(self):
-        nodes = lattice_points(UNIT_DISK, 0.1)
+        nodes = Lattice(UNIT_DISK, 0.1).nodes
         ii, jj = self.assert_same(nodes, 0.1, np.zeros((0, 2), dtype=np.int64))
         assert ii.size == jj.size == 0
 

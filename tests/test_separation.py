@@ -7,7 +7,7 @@ import pytest
 
 from harnack import geometry, separation
 from harnack.exact import disk_harnack_two_points
-from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls, lattice_neighbors
+from harnack.geometry import Ball, Box, Lattice, Polygon2D, UnionOfBalls, lattice_neighbors
 from harnack.separation import (
     SeparationQuery,
     SeparationSolver,
@@ -94,16 +94,16 @@ class TestSequenceSeparation:
 
 class TestSetSeparation:
     def test_target_equals_start(self):
-        q = SeparationQuery(UNIT_DISK, np.array([0.2, 0.0]), np.array([[0.2, 0.0]]), 3, 0.1)
+        q = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([0.2, 0.0]), np.array([[0.2, 0.0]]), 3)
         assert set_separation(q).value == 0.0
 
     def test_one_hop_reduces_to_pair(self):
-        q = SeparationQuery(UNIT_DISK, np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 1, 0.1)
+        q = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 1)
         res = set_separation(q)
         assert res.value == pair_separation(UNIT_DISK, (-0.4, 0), (0.4, 0))
 
     def test_two_hops_find_midpoint(self):
-        q = SeparationQuery(UNIT_DISK, np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 2, 0.05)
+        q = SeparationQuery(Lattice(UNIT_DISK, 0.05), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 2)
         res = set_separation(q)
         assert res.value <= 0.25 + 0.05
 
@@ -111,18 +111,19 @@ class TestSetSeparation:
         start = np.array([-0.6, 0.1])
         targets = np.array([[0.5, -0.2], [0.2, 0.6]])
         vals = [
-            set_separation(SeparationQuery(UNIT_DISK, start, targets, l, 0.1)).value
+            set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, l)).value
             for l in (1, 2, 3, 4)
         ]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_value_is_max_over_targets(self):
-        q = SeparationQuery(UNIT_BOX, np.array([0.0, 0.0]), np.array([[0.5, 0.0], [0.0, 0.9]]), 2, 0.1)
+        targets = np.array([[0.5, 0.0], [0.0, 0.9]])
+        q = SeparationQuery(Lattice(UNIT_BOX, 0.1), np.array([0.0, 0.0]), targets, 2)
         res = set_separation(q)
         assert res.value == max(v for v, _ in res.per_target.values())
 
     def test_witness_value_matches_its_polyline(self):
-        q = SeparationQuery(UNIT_BOX, np.array([-0.5, -0.5]), np.array([[0.6, 0.4]]), 3, 0.2)
+        q = SeparationQuery(Lattice(UNIT_BOX, 0.2), np.array([-0.5, -0.5]), np.array([[0.6, 0.4]]), 3)
         res = set_separation(q)
         val, poly = res.per_target[0]
         assert math.isfinite(val)
@@ -130,10 +131,10 @@ class TestSetSeparation:
         assert val == sequence_separation(UNIT_BOX, poly) or val == 0.0
 
     def test_brute_force_oracle_small(self):
-        solver = SeparationSolver(UNIT_BOX, 0.5, neighbor_radius=10.0)
+        solver = SeparationSolver(Lattice(UNIT_BOX, 0.5), neighbor_radius=10.0)
         start = np.array([-0.5, -0.5])
         targets = np.array([[0.5, 0.5]])
-        pts = np.vstack([solver.nodes, start[None, :], targets])
+        pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
         clear = UNIT_BOX.clearance(pts)
         n = pts.shape[0]
         cost = np.full((n, n), np.inf)
@@ -154,14 +155,31 @@ class TestSetSeparation:
 
     def test_hops_below_one_rejected(self):
         with pytest.raises(ValueError, match="hops"):
-            SeparationQuery(UNIT_DISK, np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), 0, 0.1)
+            SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), 0)
+
+    @pytest.mark.parametrize("hops", [0, -2])
+    def test_solver_rejects_hops_below_one(self, hops):
+        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
+        with pytest.raises(ValueError, match="hops must be >= 1"):
+            solver.solve(np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), hops)
+
+    @pytest.mark.parametrize(
+        "start,targets",
+        [([0.0, 1.5], [[0.1, 0.0]]), ([0.0, 0.0], [[0.1, 0.0], [1.0, 0.0]])],
+        ids=["start", "target"],
+    )
+    def test_exterior_points_rejected_by_the_solve(self, start, targets):
+        # the query takes them as they are; set_separation checks them
+        query = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array(start), np.array(targets), 2)
+        with pytest.raises(ValueError, match="start and targets must be interior"):
+            set_separation(query)
 
 
 def _dense_solve(solver, start, targets, hops):
     """The former dense solver: an (N+m)^2 cost matrix and an argmin DP."""
-    n_grid = solver.nodes.shape[0]
-    pts = np.vstack([solver.nodes, start[None, :], targets])
-    clear = np.concatenate([solver.clear, solver.domain.clearance(pts[n_grid:])])
+    n_grid = solver.lattice.nodes.shape[0]
+    pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
+    clear = np.concatenate([solver.lattice.clear, solver.lattice.domain.clearance(pts[n_grid:])])
     diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     cost = diff / (clear[:, None] + clear[None, :])
     far = np.zeros(cost.shape, dtype=bool)
@@ -225,7 +243,7 @@ class TestSparseSolverMatchesDense:
     @pytest.mark.parametrize("radius", [None, 10.0], ids=["default", "beyond_domain"])
     def test_seeded_instances(self, name, radius):
         domain, step = SOLVER_DOMAINS[name]
-        solver = SeparationSolver(domain, step, neighbor_radius=radius)
+        solver = SeparationSolver(Lattice(domain, step), neighbor_radius=radius)
         rng = np.random.default_rng(2021)
         for _ in range(3):
             pts = _interior_points(domain, 5, rng)
@@ -233,7 +251,7 @@ class TestSparseSolverMatchesDense:
                 self.assert_same(solver, pts[0], pts[1:], hops)
 
     def test_unreachable_targets(self):
-        solver = SeparationSolver(UNIT_DISK, 0.1)
+        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
         start = np.array([-0.6, 0.0])
         targets = np.array([[0.6, 0.0], [-0.5, 0.1]])  # q = 1.5 and q < 1
         got = self.assert_same(solver, start, targets, 1)
@@ -245,7 +263,7 @@ class TestSparseSolverMatchesDense:
         targets = np.array([[0.5, -0.2], [0.2, 0.6], [-0.1, -0.7], [0.7, 0.3]])
         tracemalloc.start()
         try:
-            SeparationSolver(UNIT_DISK, 0.025).solve(start, targets, 3)
+            SeparationSolver(Lattice(UNIT_DISK, 0.025)).solve(start, targets, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,15 +283,15 @@ class TestGridEdgesOnDemand:
         return count
 
     def test_two_hops_build_no_grid_edges(self, calls):
-        solver = SeparationSolver(UNIT_DISK, 0.1)
+        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
         start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
         for hops in (1, 2, 1, 2):
             solver.solve(start, targets, hops)
-        set_separation(SeparationQuery(UNIT_DISK, start, targets, 2, 0.1))
+        set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, 2))
         assert calls == []
 
     def test_three_hops_build_them_once(self, calls):
-        solver = SeparationSolver(UNIT_DISK, 0.1)
+        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
         start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
         for t in range(3):
             solver.solve(start, targets[t % 2 :], 3)
@@ -292,12 +310,23 @@ class TestLatticeClearancesOnce:
             return clearance(self, pts)
 
         monkeypatch.setattr(Polygon2D, "clearance", recording)
-        solver = SeparationSolver(self.L_POLYGON, 0.1)
+        solver = SeparationSolver(Lattice(self.L_POLYGON, 0.1))
         # one call over the lattice candidates, none over the nodes again
         assert sizes == [geometry.lattice_candidates(self.L_POLYGON, 0.1)]
+        # a solve evaluates the start and the targets, in one call
+        start, targets = np.array([-0.5, -0.5]), np.array([[0.5, -0.5], [-0.5, 0.5]])
+        solver.solve(start, targets, 3)
+        assert sizes[1:] == [3]
         monkeypatch.setattr(Polygon2D, "clearance", clearance)
-        assert np.array_equal(solver.nodes, geometry.lattice_points(self.L_POLYGON, 0.1))
-        assert np.array_equal(solver.clear, self.L_POLYGON.clearance(solver.nodes))
+        assert np.array_equal(solver.lattice.nodes, Lattice(self.L_POLYGON, 0.1).nodes)
+        assert np.array_equal(solver.lattice.clear, self.L_POLYGON.clearance(solver.lattice.nodes))
+
+    def test_query_evaluates_no_clearance(self, monkeypatch):
+        lattice = Lattice(self.L_POLYGON, 0.1)
+        calls = []
+        monkeypatch.setattr(Polygon2D, "clearance", lambda self, pts: calls.append(pts))
+        SeparationQuery(lattice, np.array([0.5, 0.5]), np.array([[-0.5, 0.5]]), 2)
+        assert calls == []
 
 
 class TestSetHarnackBound:
