@@ -21,7 +21,6 @@ import numpy as np
 from harnack import (
     Ball,
     Lattice,
-    SeparationQuery,
     chain_bound,
     pair_bound,
     pair_separation,
@@ -48,8 +47,8 @@ def main():
     print(f"through-the-center relay chain bound: {chain_bound(disk, relay, 'proof_sharp'):.4f}")
 
     print()
-    query = SeparationQuery(Lattice(disk, 0.05), far[0], far[1][None, :], hops=2)
-    res = set_separation(query)
+    lattice = Lattice(disk, 0.05)
+    res = set_separation(lattice, far[0], far[1][None, :], hops=2)
     val, poly = res.per_target[0]
     print(f"minimax solver, 2 hops on a 0.05 grid:")
     print(f"  best worst-link separation {val:.4f} via {np.round(poly, 3).tolist()}")
@@ -57,9 +56,8 @@ def main():
 
     print()
     print("More hops never hurt (one lattice serves every query):")
-    lattice = Lattice(disk, 0.05)
     for hops in (1, 2, 3, 4):
-        r = set_separation(SeparationQuery(lattice, far[0], far[1][None, :], hops))
+        r = set_separation(lattice, far[0], far[1][None, :], hops)
         print(f"  l = {hops}: worst-link separation {r.value:.4f}")
 
 

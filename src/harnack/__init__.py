@@ -38,9 +38,7 @@ from .entropy import (
     eac_hull_bound,
 )
 from .separation import (
-    SeparationQuery,
     SeparationResult,
-    SeparationSolver,
     chain_bound,
     pair_bound,
     pair_separation,
@@ -77,9 +75,7 @@ __all__ = [
     "eac_estimate",
     "eac_harnack_bound",
     "eac_hull_bound",
-    "SeparationQuery",
     "SeparationResult",
-    "SeparationSolver",
     "chain_bound",
     "pair_bound",
     "pair_separation",

@@ -112,8 +112,7 @@ def cmd_sandwich(args) -> int:
         for name in ("set_hop", "chain_stated", "chain_proof_sharp"):
             inapplicable[name] = f"grid solver refuses d={domain.dim} > 3"
     else:
-        query = separation.SeparationQuery(lattice, x, np.vstack([y]), hops)
-        result = separation.set_separation(query)
+        result = separation.set_separation(lattice, x, np.vstack([y]), hops)
         witness = result.per_target[0][1]
         if result.value < 1.0 and witness is not None:
             uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
@@ -172,7 +171,6 @@ def _eac_payload(lattice, pts, args):
     )
     payload = {
         "value": _fmt(est.value),
-        "certified_upper": est.certified_upper,
         "hull_kind": args.hull,
         "hull_bound": _fmt(hull),
         "grid_step": _fmt(est.grid_step),
@@ -217,8 +215,7 @@ def cmd_set(args) -> int:
                 }
 
     if args.what in ("sep", "bound"):
-        query = separation.SeparationQuery(lattice, start, pts, args.hops)
-        result = separation.set_separation(query)
+        result = separation.set_separation(lattice, start, pts, args.hops)
         sep_payload = {
             "value": _fmt(result.value),
             "hops": result.hops,

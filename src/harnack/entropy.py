@@ -66,7 +66,6 @@ class EacEstimate:
     points: np.ndarray
     grid_step: float
     clearance_levels: tuple
-    certified_upper: bool = True
 
     def pair_record(self, x, y) -> PairRecord:
         """Look up the record for a pair of points of the estimated set."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Domain, contains
+from .geometry import Ball, Domain
 
 __all__ = [
     "LowerBoundCertificate",
@@ -136,9 +136,8 @@ def poisson_witness_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
     form and the kernel ratio at its boundary point zeta, so the witness
     {center, radius, zeta} re-evaluates to at least the value."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    for p in (x, y):
-        if not contains(domain, p):
-            raise ValueError("both points must be interior to the domain")
+    if not np.all(domain.clearance(np.vstack([x, y])) > 0):
+        raise ValueError("both points must be interior to the domain")
     balls = [(c, domain.enclosing_radius(c)) for c in (x, y, 0.5 * (x + y))]
     if isinstance(domain, Ball):
         balls.append((domain.center, domain.radius))

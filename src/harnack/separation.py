@@ -7,19 +7,11 @@ hop budget l, a hop-limited minimax (bottleneck) dynamic program over a
 grid discretization over-estimates the sup-inf separation, which feeds the
 set bound 2^(2dl) / (1 - q)^((d-1)l).
 
-The program runs on a sparse edge list: grid-grid edges within a neighbor
-radius (from integer lattice offsets), edges from the start and the targets
-to every grid node, edges among the start and the targets, and zero-cost
-self-edges.  Memory is O(N k + m N) for N grid nodes, k lattice offsets in
-the radius and m targets.  Ties go to the lowest predecessor index.  The
-grid-grid edges are built on the first solve of three or more hops only: a
-path of at most two hops leaves the start and enters a target, so it never
-takes one, and values, ties and witnesses stay those of the full edge list.
+`set_separation` runs that program on a sparse edge list over a `Lattice`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +27,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "SeparationQuery",
     "SeparationResult",
-    "SeparationSolver",
     "pair_separation",
     "pair_bound",
     "sequence_separation",
@@ -101,26 +91,6 @@ def sequence_separation(domain: Domain, points) -> float:
 
 
 @dataclass(frozen=True)
-class SeparationQuery:
-    """A set-separation problem on a lattice; the solve checks that the
-    start and the targets are interior to lattice.domain."""
-
-    lattice: Lattice
-    start: np.ndarray
-    targets: np.ndarray
-    hops: int
-    neighbor_radius: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        object.__setattr__(
-            self, "targets", points_array(self.targets, self.lattice.domain)
-        )
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
-
-
-@dataclass(frozen=True)
 class SeparationResult:
     """Upper estimate of the set separation with per-target witnesses."""
 
@@ -133,130 +103,115 @@ class SeparationResult:
 _NO_EDGES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
 
-class SeparationSolver:
-    """Hop-limited minimax path solver on the grid nodes of a lattice.
+def _grid_edges(lattice: Lattice, neighbor_radius: float | None):
+    """The grid-grid edges (src, dst, cost) of set_separation, in both
+    directions, found from integer lattice offsets."""
+    nodes, clear, step = lattice.nodes, lattice.clear, lattice.step
+    if nodes.shape[0] == 0:  # np.ptp raises on an empty array
+        return _NO_EDGES
+    radius = 4.0 * step if neighbor_radius is None else neighbor_radius
+    # a slightly wider integer reach, so that the float test below decides
+    reach = radius / step * (1.0 + 1e-9)
+    span = np.rint(np.ptp(nodes, axis=0) / step)
+    offsets = lattice_half_offsets(np.minimum(span, np.floor(reach)).astype(int))
+    offsets = offsets[(offsets**2).sum(axis=1) <= reach * reach]
+    ii, jj = lattice_neighbors(nodes, step, offsets)
+    diff = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
+    cost = diff / (clear[ii] + clear[jj])
+    keep = (diff <= radius) & (cost < 1.0)
+    ii, jj, cost = ii[keep], jj[keep], cost[keep]
+    return np.concatenate([ii, jj]), np.concatenate([jj, ii]), np.concatenate([cost, cost])
+
+
+def set_separation(
+    lattice: Lattice, start, targets, hops: int, neighbor_radius: float | None = None
+) -> SeparationResult:
+    """Upper estimate of the sup-inf set separation from start to targets
+    with at most `hops` links, by a hop-limited minimax solve on the grid
+    nodes of the lattice.
 
     Edge cost is the pair separation |p_i - p_j| / (c_i + c_j), and edges
     with cost >= 1 are dropped.  The edges are
-      - grid-grid pairs within the neighbor radius (default 4 * lattice.step),
-        found from integer lattice offsets;
+      - grid-grid pairs within the neighbor radius (default 4 * lattice.step);
       - the start and each target to every grid node;
       - all pairs among the start and the targets;
       - a zero-cost self-edge per node, which makes the exactly-l and
         at-most-l formulations coincide.
-    Memory is O(N k + m N) for N grid nodes, k offsets inside the radius
-    and m targets.  Each hop relaxes every edge, and a node's predecessor
-    is the lowest-indexed one that attains its minimum.
+    Memory is O(N k + m N) for N grid nodes, k lattice offsets inside the
+    radius and m targets.  Each hop relaxes every edge, and a node's
+    predecessor is the lowest-indexed one that attains its minimum.
 
-    The grid-grid edges are built on the first solve with hops >= 3 and
-    kept for later solves; a solve with hops <= 2 relaxes the other edges
-    only.  That is exact: at hop 1 only the start has a finite value, so a
-    grid node's finite value and its predecessor come from its edge from
-    the start, and at hop 2 only the values of the targets are read, whose
-    in-edges come from grid nodes, the start and the targets.  Values, the
-    tie rule and the witness polylines are those of the full edge list.
-    """
-
-    def __init__(self, lattice: Lattice, neighbor_radius: float | None = None):
-        self.lattice = lattice
-        self.neighbor_radius = (
-            4.0 * lattice.step if neighbor_radius is None else neighbor_radius
-        )
-
-    @functools.cached_property
-    def _grid_edges(self):
-        """Grid-grid edges (src, dst, cost) in both directions, built on the
-        first solve that can use them."""
-        nodes, clear, step = self.lattice.nodes, self.lattice.clear, self.lattice.step
-        if nodes.shape[0] == 0:
-            return _NO_EDGES
-        # a slightly wider integer reach, so that the float test below decides
-        reach = self.neighbor_radius / step * (1.0 + 1e-9)
-        span = np.rint(np.ptp(nodes, axis=0) / step)
-        offsets = lattice_half_offsets(np.minimum(span, np.floor(reach)).astype(int))
-        offsets = offsets[(offsets**2).sum(axis=1) <= reach * reach]
-        ii, jj = lattice_neighbors(nodes, step, offsets)
-        diff = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
-        cost = diff / (clear[ii] + clear[jj])
-        keep = (diff <= self.neighbor_radius) & (cost < 1.0)
-        ii, jj, cost = ii[keep], jj[keep], cost[keep]
-        return np.concatenate([ii, jj]), np.concatenate([jj, ii]), np.concatenate([cost, cost])
-
-    def solve(self, start, targets, hops: int):
-        if hops < 1:
-            raise ValueError("hops must be >= 1")
-        nodes, clear, domain = self.lattice.nodes, self.lattice.clear, self.lattice.domain
-        start = np.asarray(start, dtype=float)
-        targets = points_array(targets, domain)
-        n_grid = nodes.shape[0]
-        pts = np.vstack([nodes, start[None, :], targets])
-        extra = pts[n_grid:]
-        c_extra = domain.clearance(extra)
-        if np.any(c_extra <= 0):
-            raise ValueError("start and targets must be interior to the domain")
-        n = pts.shape[0]
-
-        # start/targets to grid nodes, as an (m+1, N) array
-        diff = np.linalg.norm(extra[:, None, :] - nodes[None, :, :], axis=2)
-        cost = diff / (c_extra[:, None] + clear[None, :])
-        a, g = np.nonzero(cost < 1.0)
-        to_grid = cost[a, g]
-        a += n_grid
-        # pairs among the start and the targets
-        diff = np.linalg.norm(extra[:, None, :] - extra[None, :, :], axis=2)
-        cost = diff / (c_extra[:, None] + c_extra[None, :])
-        np.fill_diagonal(cost, np.inf)  # self-edges come below
-        p, q = np.nonzero(cost < 1.0)
-        among = cost[p, q]
-        ids = np.arange(n)
-        # a path of at most two hops leaves the start and enters a target,
-        # so it never takes a grid-grid edge
-        src_g, dst_g, cost_g = self._grid_edges if hops >= 3 else _NO_EDGES
-        src = np.concatenate([src_g, a, g, p + n_grid, ids])
-        dst = np.concatenate([dst_g, g, a, q + n_grid, ids])
-        cost = np.concatenate([cost_g, to_grid, to_grid, among, np.zeros(n)])
-
-        order = np.argsort(dst * n + src)
-        src, dst, cost = src[order], dst[order], cost[order]
-        first = np.searchsorted(dst, ids)  # every node has its self-edge
-        edge = np.arange(src.size)
-        f = np.full(n, np.inf)
-        f[n_grid] = 0.0
-        preds = []
-        for _ in range(hops):
-            val = np.maximum(f[src], cost)
-            f = np.minimum.reduceat(val, first)
-            # sorted by (dst, src): the first edge attaining the minimum
-            # has the lowest predecessor index
-            hit = np.minimum.reduceat(np.where(val == f[dst], edge, src.size), first)
-            preds.append(src[hit])
-        per_target = {}
-        for t in range(targets.shape[0]):
-            idx = n_grid + 1 + t
-            val = float(f[idx])
-            path = [idx]
-            if math.isfinite(val):
-                for k in range(hops - 1, -1, -1):
-                    path.append(int(preds[k][path[-1]]))
-                path.reverse()
-                poly = pts[np.array(path)]
-            else:
-                poly = None
-            per_target[t] = (val, poly)
-        value = max(v for v, _ in per_target.values())
-        return value, per_target
-
-
-def set_separation(query: SeparationQuery) -> SeparationResult:
-    """Upper estimate of the sup-inf set separation via the minimax solver.
+    The grid-grid edges are built for hops >= 3 only.  That is exact: at
+    hop 1 only the start has a finite value, so a grid node's finite value
+    and its predecessor come from its edge from the start, and at hop 2
+    only the values of the targets are read, whose in-edges come from grid
+    nodes, the start and the targets.  Values, the tie rule and the witness
+    polylines are those of the full edge list.
 
     The inf over intermediate points is restricted to grid nodes, so the
     result over-estimates the true separation and stays usable as q in the
-    set bound.  Unreachable targets get value +inf.
+    set bound.  Unreachable targets get value +inf and no polyline.
     """
-    solver = SeparationSolver(query.lattice, query.neighbor_radius)
-    value, per_target = solver.solve(query.start, query.targets, query.hops)
-    return SeparationResult(value, per_target, query.hops, query.lattice.step)
+    if hops < 1:
+        raise ValueError("hops must be >= 1")
+    nodes, clear, domain = lattice.nodes, lattice.clear, lattice.domain
+    start = np.asarray(start, dtype=float)
+    targets = points_array(targets, domain)
+    n_grid = nodes.shape[0]
+    pts = np.vstack([nodes, start[None, :], targets])
+    extra = pts[n_grid:]
+    c_extra = domain.clearance(extra)
+    if np.any(c_extra <= 0):
+        raise ValueError("start and targets must be interior to the domain")
+    n = pts.shape[0]
+
+    # start/targets to grid nodes, as an (m+1, N) array
+    diff = np.linalg.norm(extra[:, None, :] - nodes[None, :, :], axis=2)
+    cost = diff / (c_extra[:, None] + clear[None, :])
+    a, g = np.nonzero(cost < 1.0)
+    to_grid = cost[a, g]
+    a += n_grid
+    # pairs among the start and the targets
+    diff = np.linalg.norm(extra[:, None, :] - extra[None, :, :], axis=2)
+    cost = diff / (c_extra[:, None] + c_extra[None, :])
+    np.fill_diagonal(cost, np.inf)  # self-edges come below
+    p, q = np.nonzero(cost < 1.0)
+    among = cost[p, q]
+    ids = np.arange(n)
+    src_g, dst_g, cost_g = _grid_edges(lattice, neighbor_radius) if hops >= 3 else _NO_EDGES
+    src = np.concatenate([src_g, a, g, p + n_grid, ids])
+    dst = np.concatenate([dst_g, g, a, q + n_grid, ids])
+    cost = np.concatenate([cost_g, to_grid, to_grid, among, np.zeros(n)])
+
+    order = np.argsort(dst * n + src)
+    src, dst, cost = src[order], dst[order], cost[order]
+    first = np.searchsorted(dst, ids)  # every node has its self-edge
+    edge = np.arange(src.size)
+    f = np.full(n, np.inf)
+    f[n_grid] = 0.0
+    preds = []
+    for _ in range(hops):
+        val = np.maximum(f[src], cost)
+        f = np.minimum.reduceat(val, first)
+        # sorted by (dst, src): the first edge attaining the minimum
+        # has the lowest predecessor index
+        hit = np.minimum.reduceat(np.where(val == f[dst], edge, src.size), first)
+        preds.append(src[hit])
+    per_target = {}
+    for t in range(targets.shape[0]):
+        idx = n_grid + 1 + t
+        val = float(f[idx])
+        path = [idx]
+        if math.isfinite(val):
+            for k in range(hops - 1, -1, -1):
+                path.append(int(preds[k][path[-1]]))
+            path.reverse()
+            poly = pts[np.array(path)]
+        else:
+            poly = None
+        per_target[t] = (val, poly)
+    value = max(v for v, _ in per_target.values())
+    return SeparationResult(value, per_target, hops, lattice.step)
 
 
 def set_harnack_bound(result, hops: int, dim: int) -> float:

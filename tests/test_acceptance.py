@@ -24,8 +24,6 @@ from harnack.entropy import (
 from harnack.exact import ball_harnack_from_center, disk_harnack_two_points
 from harnack.geometry import Ball, Box, Lattice
 from harnack.separation import (
-    SeparationQuery,
-    SeparationSolver,
     chain_bound,
     pair_bound_from_q,
     pair_separation,
@@ -81,7 +79,7 @@ def test_criterion_2_disk_normalization():
 def test_criterion_3_soundness_sandwich_on_disks():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
-    solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
+    lattice = Lattice(UNIT_DISK, 0.1)
     checked = 0
     while checked < 200:
         x, y = rng.uniform(-0.9, 0.9, size=(2, 2))
@@ -103,7 +101,7 @@ def test_criterion_3_soundness_sandwich_on_disks():
         eac = eac_hull_bound(UNIT_DISK, np.vstack([x, y]), "segmental", 1e-3)
         if math.isfinite(eac):
             uppers.append(eac_harnack_bound(eac, 2)[0])
-        sep_val, _ = solver.solve(x, y[None, :], hops=2)
+        sep_val = set_separation(lattice, x, y[None, :], hops=2).value
         if sep_val < 1.0:
             uppers.append(set_harnack_bound(sep_val, 2, 2))
         for u in uppers:
@@ -176,11 +174,11 @@ def test_criterion_7_ball_chain_certificates():
 
 def test_criterion_8_minimax_oracle_equivalence():
     t0 = time.perf_counter()
-    solver = SeparationSolver(Lattice(UNIT_BOX, 0.2), neighbor_radius=10.0)
-    assert solver.lattice.nodes.shape[0] == 81
+    lattice = Lattice(UNIT_BOX, 0.2)
+    assert lattice.nodes.shape[0] == 81
     start = np.array([-0.7, -0.3])
     targets = np.array([[0.7, 0.5], [0.1, -0.7], [0.5, 0.1]])
-    pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
+    pts = np.vstack([lattice.nodes, start[None, :], targets])
     n = pts.shape[0]
     cost = np.full((n, n), np.inf)
     for i in range(n):
@@ -190,7 +188,7 @@ def test_criterion_8_minimax_oracle_equivalence():
         cost[i, i] = 0.0
     i0 = 81
     for hops in (1, 2, 3):
-        _, per_target = solver.solve(start, targets, hops)
+        per_target = set_separation(lattice, start, targets, hops, neighbor_radius=10.0).per_target
         for t in range(targets.shape[0]):
             it = 81 + 1 + t
             best = math.inf
@@ -208,7 +206,7 @@ def test_criterion_9_monotonicity_properties():
     start = np.array([-0.6, 0.0])
     targets = np.array([[0.5, 0.3]])
     vals = [
-        set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, l)).value
+        set_separation(Lattice(UNIT_DISK, 0.1), start, targets, l).value
         for l in (1, 2, 3, 4)
     ]
     assert all(b <= a for a, b in zip(vals, vals[1:]))

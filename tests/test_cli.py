@@ -194,8 +194,8 @@ class TestSandwich:
         code, out = run(capsys, ["sandwich", "--domain", str(poly), "--pair=-0.5,-0.5;0.5,-0.6"])
         assert code == 0
         assert "chain_proof_sharp" in json.loads(out)["uppers"]
-        # x and y 2, hull bound 1, lattice 1, solve 1, two chains 2, lower bound 2
-        assert len(calls) <= 9
+        # x and y 2, hull bound 1, lattice 1, solve 1, two chains 2, lower bound 1
+        assert len(calls) <= 8
 
     def test_4d_ball_refuses_hops_below_one(self, capsys, tmp_path):
         ball = tmp_path / "ball4.json"

@@ -144,6 +144,13 @@ class TestPoissonWitness:
         v2 = poisson_witness_lower_bound(UNIT_BOX, b, a).value
         assert v1 == pytest.approx(v2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "x,y", [((1.5, 0), (0, 0)), ((0, 0), (1.0, 0))], ids=["x_outside", "y_on_boundary"]
+    )
+    def test_non_interior_points_rejected(self, x, y):
+        with pytest.raises(ValueError, match="interior"):
+            poisson_witness_lower_bound(UNIT_BOX, x, y)
+
     def test_3d_sampling(self):
         cube = Box(-np.ones(3), np.ones(3))
         cert = poisson_witness_lower_bound(cube, (0, 0, 0), (0.5, 0, 0))

@@ -1,4 +1,9 @@
-"""The package's public names: a change to them shows in this list."""
+"""The package's public names: a change to them shows in this list, and
+the README's library example runs as written."""
+
+from pathlib import Path
+
+import pytest
 
 import harnack
 
@@ -11,9 +16,7 @@ PUBLIC = [
     "LowerBoundCertificate",
     "PointSet",
     "Polygon2D",
-    "SeparationQuery",
     "SeparationResult",
-    "SeparationSolver",
     "UnionOfBalls",
     "ball_harnack_from_center",
     "ball_harnack_two_points",
@@ -49,3 +52,12 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in harnack.__all__:
         assert getattr(harnack, name, None) is not None, name
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["est"].value == pytest.approx(2.008, abs=5e-4)
+    assert scope["sep"].value == 0.25

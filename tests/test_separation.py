@@ -9,8 +9,6 @@ from harnack import geometry, separation
 from harnack.exact import disk_harnack_two_points
 from harnack.geometry import Ball, Box, Lattice, Polygon2D, UnionOfBalls, lattice_neighbors
 from harnack.separation import (
-    SeparationQuery,
-    SeparationSolver,
     chain_bound,
     pair_bound,
     pair_bound_from_q,
@@ -94,47 +92,43 @@ class TestSequenceSeparation:
 
 class TestSetSeparation:
     def test_target_equals_start(self):
-        q = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([0.2, 0.0]), np.array([[0.2, 0.0]]), 3)
-        assert set_separation(q).value == 0.0
+        res = set_separation(Lattice(UNIT_DISK, 0.1), np.array([0.2, 0.0]), np.array([[0.2, 0.0]]), 3)
+        assert res.value == 0.0
 
     def test_one_hop_reduces_to_pair(self):
-        q = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 1)
-        res = set_separation(q)
+        res = set_separation(Lattice(UNIT_DISK, 0.1), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 1)
         assert res.value == pair_separation(UNIT_DISK, (-0.4, 0), (0.4, 0))
 
     def test_two_hops_find_midpoint(self):
-        q = SeparationQuery(Lattice(UNIT_DISK, 0.05), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 2)
-        res = set_separation(q)
+        res = set_separation(Lattice(UNIT_DISK, 0.05), np.array([-0.4, 0.0]), np.array([[0.4, 0.0]]), 2)
         assert res.value <= 0.25 + 0.05
 
     def test_nonincreasing_in_hops(self):
         start = np.array([-0.6, 0.1])
         targets = np.array([[0.5, -0.2], [0.2, 0.6]])
         vals = [
-            set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, l)).value
+            set_separation(Lattice(UNIT_DISK, 0.1), start, targets, l).value
             for l in (1, 2, 3, 4)
         ]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_value_is_max_over_targets(self):
         targets = np.array([[0.5, 0.0], [0.0, 0.9]])
-        q = SeparationQuery(Lattice(UNIT_BOX, 0.1), np.array([0.0, 0.0]), targets, 2)
-        res = set_separation(q)
+        res = set_separation(Lattice(UNIT_BOX, 0.1), np.array([0.0, 0.0]), targets, 2)
         assert res.value == max(v for v, _ in res.per_target.values())
 
     def test_witness_value_matches_its_polyline(self):
-        q = SeparationQuery(Lattice(UNIT_BOX, 0.2), np.array([-0.5, -0.5]), np.array([[0.6, 0.4]]), 3)
-        res = set_separation(q)
+        res = set_separation(Lattice(UNIT_BOX, 0.2), np.array([-0.5, -0.5]), np.array([[0.6, 0.4]]), 3)
         val, poly = res.per_target[0]
         assert math.isfinite(val)
-        assert poly.shape[0] == q.hops + 1
+        assert poly.shape[0] == res.hops + 1
         assert val == sequence_separation(UNIT_BOX, poly) or val == 0.0
 
     def test_brute_force_oracle_small(self):
-        solver = SeparationSolver(Lattice(UNIT_BOX, 0.5), neighbor_radius=10.0)
+        lattice = Lattice(UNIT_BOX, 0.5)
         start = np.array([-0.5, -0.5])
         targets = np.array([[0.5, 0.5]])
-        pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
+        pts = np.vstack([lattice.nodes, start[None, :], targets])
         clear = UNIT_BOX.clearance(pts)
         n = pts.shape[0]
         cost = np.full((n, n), np.inf)
@@ -145,7 +139,7 @@ class TestSetSeparation:
             cost[i, i] = 0.0
         i0, it = n - 2, n - 1
         for hops in (1, 2, 3):
-            res = solver.solve(start, targets, hops)[1][0][0]
+            res = set_separation(lattice, start, targets, hops, neighbor_radius=10.0).per_target[0][0]
             best = math.inf
             for mids in itertools.product(range(n), repeat=hops - 1):
                 seq = [i0, *mids, it]
@@ -153,15 +147,10 @@ class TestSetSeparation:
                 best = min(best, val)
             assert res == best
 
-    def test_hops_below_one_rejected(self):
-        with pytest.raises(ValueError, match="hops"):
-            SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), 0)
-
     @pytest.mark.parametrize("hops", [0, -2])
     def test_solver_rejects_hops_below_one(self, hops):
-        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
         with pytest.raises(ValueError, match="hops must be >= 1"):
-            solver.solve(np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), hops)
+            set_separation(Lattice(UNIT_DISK, 0.1), np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), hops)
 
     @pytest.mark.parametrize(
         "start,targets",
@@ -169,21 +158,29 @@ class TestSetSeparation:
         ids=["start", "target"],
     )
     def test_exterior_points_rejected_by_the_solve(self, start, targets):
-        # the query takes them as they are; set_separation checks them
-        query = SeparationQuery(Lattice(UNIT_DISK, 0.1), np.array(start), np.array(targets), 2)
         with pytest.raises(ValueError, match="start and targets must be interior"):
-            set_separation(query)
+            set_separation(Lattice(UNIT_DISK, 0.1), np.array(start), np.array(targets), 2)
+
+    def test_lattice_without_nodes_still_solves_three_hops(self):
+        lattice = Lattice(Ball([0.05, 0.05], 0.04), 0.1)
+        assert lattice.nodes.shape[0] == 0
+        start, target = np.array([0.05, 0.05]), np.array([0.06, 0.05])
+        res = set_separation(lattice, start, target[None, :], 3)
+        val, poly = res.per_target[0]
+        assert res.value == val == pair_separation(lattice.domain, start, target)
+        assert val == pytest.approx(1 / 7, rel=1e-12)
+        assert np.array_equal(poly, [start, start, start, target])
 
 
-def _dense_solve(solver, start, targets, hops):
+def _dense_solve(lattice, radius, start, targets, hops):
     """The former dense solver: an (N+m)^2 cost matrix and an argmin DP."""
-    n_grid = solver.lattice.nodes.shape[0]
-    pts = np.vstack([solver.lattice.nodes, start[None, :], targets])
-    clear = np.concatenate([solver.lattice.clear, solver.lattice.domain.clearance(pts[n_grid:])])
+    n_grid = lattice.nodes.shape[0]
+    pts = np.vstack([lattice.nodes, start[None, :], targets])
+    clear = np.concatenate([lattice.clear, lattice.domain.clearance(pts[n_grid:])])
     diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     cost = diff / (clear[:, None] + clear[None, :])
     far = np.zeros(cost.shape, dtype=bool)
-    far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > solver.neighbor_radius
+    far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > radius
     cost[far] = np.inf
     cost[cost >= 1.0] = np.inf
     np.fill_diagonal(cost, 0.0)
@@ -227,10 +224,11 @@ def _interior_points(domain, k, rng):
 
 
 class TestSparseSolverMatchesDense:
-    def assert_same(self, solver, start, targets, hops):
-        value, got = solver.solve(start, targets, hops)
-        want = _dense_solve(solver, start, targets, hops)
-        assert value == max(v for v, _ in want.values())
+    def assert_same(self, lattice, radius, start, targets, hops):
+        res = set_separation(lattice, start, targets, hops, neighbor_radius=radius)
+        got = res.per_target
+        want = _dense_solve(lattice, 4.0 * lattice.step if radius is None else radius, start, targets, hops)
+        assert res.value == max(v for v, _ in want.values())
         for t, (val, poly) in want.items():
             assert got[t][0] == val
             if poly is None:
@@ -243,18 +241,17 @@ class TestSparseSolverMatchesDense:
     @pytest.mark.parametrize("radius", [None, 10.0], ids=["default", "beyond_domain"])
     def test_seeded_instances(self, name, radius):
         domain, step = SOLVER_DOMAINS[name]
-        solver = SeparationSolver(Lattice(domain, step), neighbor_radius=radius)
+        lattice = Lattice(domain, step)
         rng = np.random.default_rng(2021)
         for _ in range(3):
             pts = _interior_points(domain, 5, rng)
             for hops in (1, 2, 3):
-                self.assert_same(solver, pts[0], pts[1:], hops)
+                self.assert_same(lattice, radius, pts[0], pts[1:], hops)
 
     def test_unreachable_targets(self):
-        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
         start = np.array([-0.6, 0.0])
         targets = np.array([[0.6, 0.0], [-0.5, 0.1]])  # q = 1.5 and q < 1
-        got = self.assert_same(solver, start, targets, 1)
+        got = self.assert_same(Lattice(UNIT_DISK, 0.1), None, start, targets, 1)
         assert got[0] == (math.inf, None)
         assert math.isfinite(got[1][0])
 
@@ -263,7 +260,7 @@ class TestSparseSolverMatchesDense:
         targets = np.array([[0.5, -0.2], [0.2, 0.6], [-0.1, -0.7], [0.7, 0.3]])
         tracemalloc.start()
         try:
-            SeparationSolver(Lattice(UNIT_DISK, 0.025)).solve(start, targets, 3)
+            set_separation(Lattice(UNIT_DISK, 0.025), start, targets, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,19 +280,18 @@ class TestGridEdgesOnDemand:
         return count
 
     def test_two_hops_build_no_grid_edges(self, calls):
-        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
+        lattice = Lattice(UNIT_DISK, 0.1)
         start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
         for hops in (1, 2, 1, 2):
-            solver.solve(start, targets, hops)
-        set_separation(SeparationQuery(Lattice(UNIT_DISK, 0.1), start, targets, 2))
+            set_separation(lattice, start, targets, hops)
         assert calls == []
 
     def test_three_hops_build_them_once(self, calls):
-        solver = SeparationSolver(Lattice(UNIT_DISK, 0.1))
+        lattice = Lattice(UNIT_DISK, 0.1)
         start, targets = np.array([-0.5, 0.1]), np.array([[0.5, -0.2], [0.1, 0.6]])
         for t in range(3):
-            solver.solve(start, targets[t % 2 :], 3)
-        assert calls == [1]
+            set_separation(lattice, start, targets[t % 2 :], 3)
+            assert calls == [1] * (t + 1)  # each 3-hop call builds them once
 
 
 class TestLatticeClearancesOnce:
@@ -310,23 +306,16 @@ class TestLatticeClearancesOnce:
             return clearance(self, pts)
 
         monkeypatch.setattr(Polygon2D, "clearance", recording)
-        solver = SeparationSolver(Lattice(self.L_POLYGON, 0.1))
+        lattice = Lattice(self.L_POLYGON, 0.1)
         # one call over the lattice candidates, none over the nodes again
         assert sizes == [geometry.lattice_candidates(self.L_POLYGON, 0.1)]
         # a solve evaluates the start and the targets, in one call
         start, targets = np.array([-0.5, -0.5]), np.array([[0.5, -0.5], [-0.5, 0.5]])
-        solver.solve(start, targets, 3)
+        set_separation(lattice, start, targets, 3)
         assert sizes[1:] == [3]
         monkeypatch.setattr(Polygon2D, "clearance", clearance)
-        assert np.array_equal(solver.lattice.nodes, Lattice(self.L_POLYGON, 0.1).nodes)
-        assert np.array_equal(solver.lattice.clear, self.L_POLYGON.clearance(solver.lattice.nodes))
-
-    def test_query_evaluates_no_clearance(self, monkeypatch):
-        lattice = Lattice(self.L_POLYGON, 0.1)
-        calls = []
-        monkeypatch.setattr(Polygon2D, "clearance", lambda self, pts: calls.append(pts))
-        SeparationQuery(lattice, np.array([0.5, 0.5]), np.array([[-0.5, 0.5]]), 2)
-        assert calls == []
+        assert np.array_equal(lattice.nodes, Lattice(self.L_POLYGON, 0.1).nodes)
+        assert np.array_equal(lattice.clear, self.L_POLYGON.clearance(lattice.nodes))
 
 
 class TestSetHarnackBound:
