@@ -147,6 +147,15 @@ class TestSetSeparation:
                 best = min(best, val)
             assert res == best
 
+    def test_hops_below_one_rejected(self, monkeypatch):
+        # refused up front, before the start and targets are checked
+        lattice = Lattice(UNIT_DISK, 0.1)
+        calls = []
+        monkeypatch.setattr(Ball, "clearance", lambda self, pts: calls.append(pts))
+        with pytest.raises(ValueError, match="hops"):
+            set_separation(lattice, np.array([0.0, 0.0]), np.array([[0.1, 0.0]]), 0)
+        assert calls == []
+
     @pytest.mark.parametrize("hops", [0, -2])
     def test_solver_rejects_hops_below_one(self, hops):
         with pytest.raises(ValueError, match="hops must be >= 1"):
