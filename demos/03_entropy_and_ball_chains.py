@@ -7,8 +7,8 @@ is the worst, over pairs of S, of the best achievable ratio
 
 Two certified upper estimates are available:
 
-* a hull bound: diameter of S over the certified clearance of a hull of
-  S (segmental, star-shaped, or convex);
+* a hull bound: diameter of S over the certified clearance of its
+  segmental hull, the union of the segments between its points;
 * a grid estimate: shortest polylines on a clearance-filtered lattice
   graph, swept over a geometric ladder of clearance levels.
 
@@ -35,7 +35,7 @@ def main():
     disk = Ball(np.zeros(2), 1.0)
     pts = np.array([[-0.5, 0.0], [0.5, 0.0]])
 
-    hull = eac_hull_bound(disk, pts, "segmental", resolution=1e-3)
+    hull = eac_hull_bound(disk, pts, resolution=1e-3)
     est = eac_estimate(Lattice(disk, 0.02), pts)
     print(f"hull bound (segmental):   {hull:.4f}")
     print(f"grid estimate:            {est.value:.4f}   (true value is 2)")

@@ -99,7 +99,7 @@ def cmd_sandwich(args) -> int:
         inapplicable["pair_proof_sharp"] = f"pair separation {q:.12g} >= 1"
 
     # entropy bound for the two-point set
-    eac = entropy.eac_hull_bound(domain, np.vstack([x, y]), "segmental")
+    eac = entropy.eac_hull_bound(domain, np.vstack([x, y]))
     if math.isfinite(eac):
         uppers["eac_sharp"], uppers["eac_rounded"] = entropy.eac_harnack_bound(eac, domain.dim)
     else:
@@ -144,7 +144,6 @@ def cmd_sandwich(args) -> int:
         "parameters": {
             "hops": hops,
             "grid_step": _fmt(grid),
-            "variant": args.variant,
         },
         "lower": {
             "method": lower.method,
@@ -161,17 +160,11 @@ def cmd_sandwich(args) -> int:
     return 0 if consistent else 1
 
 
-def _eac_payload(lattice, pts, args):
+def _eac_payload(lattice, pts):
     est = entropy.eac_estimate(lattice, pts)
-    hull = entropy.eac_hull_bound(
-        lattice.domain,
-        pts,
-        args.hull,
-        star_center=_parse_point(args.star_center) if args.star_center else None,
-    )
+    hull = entropy.eac_hull_bound(lattice.domain, pts)
     payload = {
         "value": _fmt(est.value),
-        "hull_kind": args.hull,
         "hull_bound": _fmt(hull),
         "grid_step": _fmt(est.grid_step),
         "clearance_levels": [_fmt(r) for r in est.clearance_levels],
@@ -203,7 +196,7 @@ def cmd_set(args) -> int:
     }
 
     if args.what in ("eac", "bound"):
-        est, payload = _eac_payload(lattice, pts, args)
+        est, payload = _eac_payload(lattice, pts)
         report["eac"] = payload
         report["eac_harnack_bound"] = None
         if math.isfinite(est.value):
@@ -302,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sand.add_argument("--pair", required=True, help='"x1,y1;x2,y2"')
     p_sand.add_argument("--hops", type=int, default=2)
     p_sand.add_argument("--grid", type=float, default=None)
-    p_sand.add_argument("--variant", choices=["stated", "proof_sharp"], default="stated")
     p_sand.add_argument("--out", default=None)
     p_sand.set_defaults(func=cmd_sandwich)
 
@@ -313,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_set.add_argument("--start", default=None, help='"x,y[,z]" (sep/bound)')
     p_set.add_argument("--hops", type=int, default=2)
     p_set.add_argument("--grid", type=float, default=None)
-    p_set.add_argument("--hull", choices=["convex", "segmental", "star"], default="segmental")
-    p_set.add_argument("--star-center", default=None)
     p_set.add_argument("--out", default=None)
     p_set.set_defaults(func=cmd_set)
 

@@ -96,21 +96,15 @@ class BallChain:
         return self.centers.shape[0] - 2
 
 
-def eac_hull_bound(
-    domain: Domain,
-    pts,
-    hull_kind: str = "segmental",
-    resolution: float | None = None,
-    star_center=None,
-) -> float:
-    """diameter(S) / certified hull clearance; +inf when the hull does not
-    certify inside the domain; 0 for singletons."""
+def eac_hull_bound(domain: Domain, pts, resolution: float | None = None) -> float:
+    """diameter(S) / certified clearance of the segmental hull of S; +inf when
+    the hull does not certify inside the domain; 0 for singletons."""
     p = points_array(pts, domain)
     if p.shape[0] == 0:
         raise ValueError("empty point set")
     if p.shape[0] == 1:
         return 0.0
-    clear = hull_clearance(domain, p, hull_kind, resolution, star_center)
+    clear = hull_clearance(domain, p, resolution)
     if clear <= 0.0:
         return math.inf
     return diameter(p) / clear

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "diameter",
     "hull_clearance",
     "enclosing_ball",
-    "convex_hull_2d",
     "load_domain",
     "dump_domain",
     "load_point_set",
@@ -470,64 +468,15 @@ def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray
     return np.maximum(0.0, np.concatenate(low) - np.array(spacing) / 2.0)
 
 
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull; vertices counterclockwise.
+def hull_clearance(domain: Domain, pts, resolution: float | None = None) -> float:
+    """Certified lower bound on dist(H, complement of D) for the segmental hull
+    H of the points: the union of the segments between every two of them.
 
-    Degenerate inputs (collinear, < 3 points) yield the extreme points only.
-    """
-    p = _as_points(points)
-    if p.shape[1] != 2:
-        raise ValueError("convex_hull_2d needs 2-D points")
-    pts = np.unique(p, axis=0)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if pts.shape[0] <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for q in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper: list[np.ndarray] = []
-    for q in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _dist_to_convex_polygon(p: np.ndarray, hull: np.ndarray) -> np.ndarray:
-    """Distance from points (n, 2) to a convex CCW polygon (0 inside)."""
-    n = hull.shape[0]
-    inside = np.ones(p.shape[0], dtype=bool)
-    best = np.full(p.shape[0], np.inf)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        ab = b - a
-        inside &= (ab[0] * (p[:, 1] - a[1]) - ab[1] * (p[:, 0] - a[0])) >= 0
-        t = np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        best = np.minimum(best, np.linalg.norm(p - proj, axis=1))
-    return np.where(inside, 0.0, best)
-
-
-def hull_clearance(
-    domain: Domain,
-    pts,
-    hull_kind: str = "segmental",
-    resolution: float | None = None,
-    star_center=None,
-) -> float:
-    """Certified lower bound on dist(H, complement of D) for a hull H of the points.
-
-    hull_kind is one of "convex", "segmental" (union of all segments between
-    the points) or "star" (segments from star_center to every point).  The
-    certificate samples the hull at spacing <= resolution and applies the
-    1-Lipschitz clearance rule; 0 means "hull not certified inside D".
+    Every segment is sampled at spacing <= resolution (by default a
+    thousandth of the domain's bounding diameter) and certified by the
+    1-Lipschitz clearance rule; 0 means "hull not certified inside D".  Each
+    pair of points is joined by its own segment, no longer than diam(S), so
+    diam(S) over this bound bounds the entropy of linear connectivity.
     """
     p = points_array(pts, domain)
     if p.shape[0] == 0:
@@ -536,59 +485,11 @@ def hull_clearance(
         resolution = 1e-3 * domain.bounding_diameter()
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-
-    if hull_kind == "star":
-        if star_center is None:
-            raise ValueError("star hull needs star_center")
-        z = np.asarray(star_center, dtype=float)
-        if not contains(domain, z):
-            raise ValueError("star center must be inside the domain")
-        star = certified_segment_clearances(domain, np.broadcast_to(z, p.shape), p, resolution)
-        return float(star.min())
-
-    if hull_kind == "segmental":
-        return _segmental_clearance(domain, p, resolution)
-
-    if hull_kind == "convex":
-        if domain.dim != 2:
-            # the segmental hull still connects every pair of the set, so the
-            # downstream entropy bound stays valid in higher dimension
-            warnings.warn(
-                "convex hull clearance is 2-D only; falling back to the "
-                "segmental hull (not convex-certified)",
-                stacklevel=2,
-            )
-            return _segmental_clearance(domain, p, resolution)
-        hull = convex_hull_2d(p)
-        if hull.shape[0] <= 2:
-            return _segmental_clearance(domain, hull, resolution)
-        return _convex_region_clearance(domain, hull, resolution)
-
-    raise ValueError(f"unknown hull kind: {hull_kind!r}")
-
-
-def _segmental_clearance(domain: Domain, p: np.ndarray, resolution: float) -> float:
     # Each point starts a segment, whose certificate is at most the clearance
     # at its first sample, the point: so the minimum also bounds the points.
     n = p.shape[0]
     i, j = np.array([*itertools.combinations(range(n), 2), (n - 1, n - 1)]).T
     return float(certified_segment_clearances(domain, p[i], p[j], resolution).min())
-
-
-def _convex_region_clearance(domain: Domain, hull: np.ndarray, h: float) -> float:
-    """Grid cover of the convex polygon: lattice of spacing h, covering radius
-    h/sqrt(2); keep lattice nodes within 0.75*h of the polygon."""
-    lo = hull.min(axis=0) - h
-    hi = hull.max(axis=0) + h
-    ax = [np.arange(math.floor(l / h), math.floor(u / h) + 2) * h for l, u in zip(lo, hi)]
-    gx, gy = np.meshgrid(*ax, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    keep = _dist_to_convex_polygon(grid, hull) <= 0.75 * h
-    grid = grid[keep]
-    if grid.shape[0] == 0:
-        return 0.0
-    m = float(domain.clearance(grid).min())
-    return max(0.0, m - h * math.sqrt(2.0) / 2.0)
 
 
 def enclosing_ball(domain: Domain, center) -> float:

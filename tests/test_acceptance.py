@@ -98,7 +98,7 @@ def test_criterion_3_soundness_sandwich_on_disks():
             pair_bound_from_q(q, 2, "proof_sharp"),
             chain_bound(UNIT_DISK, [x, np.zeros(2), y], "proof_sharp"),
         ]
-        eac = eac_hull_bound(UNIT_DISK, np.vstack([x, y]), "segmental", 1e-3)
+        eac = eac_hull_bound(UNIT_DISK, np.vstack([x, y]), 1e-3)
         if math.isfinite(eac):
             uppers.append(eac_harnack_bound(eac, 2)[0])
         sep_val = set_separation(lattice, x, y[None, :], hops=2).value

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harnack import cli, geometry
+from harnack import cli, entropy, geometry
 from harnack.cli import main
 from harnack.entropy import EacEstimate, PairRecord, build_ball_chain
 from harnack.exact import ball_harnack_from_center
@@ -330,6 +330,29 @@ class TestSet:
         for (i, j), rec in per_pair.items():
             x, y = NEAR_BOUNDARY[i], NEAR_BOUNDARY[j]
             build_ball_chain(domain, x, y, rec.ratio * (1 + 1e-9), est)
+
+    def test_hull_bound_is_null_where_the_segment_leaves_the_l_polygon(self, capsys, tmp_path):
+        # A curve round the reflex corner at clearance c <= 0.3 has
+        # length / c >= 4.90 (two tangents and an arc), so no sound bound is
+        # below 4.90.  The segment between the points crosses the missing
+        # quadrant, so the segmental hull certifies nothing.
+        vertices = [[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]]
+        dom = tmp_path / "lpoly.json"
+        dom.write_text(json.dumps({"dim": 2, "shape": {"type": "polygon", "vertices": vertices}}))
+        points = [[0.5, -0.3], [-0.3, 0.5]]
+        pts = tmp_path / "corner.json"
+        pts.write_text(json.dumps({"points": points}))
+        assert entropy.eac_hull_bound(geometry.load_domain(str(dom)), points) == math.inf
+        argv = ["set", "eac", "--domain", str(dom), "--set", str(pts), "--grid", "0.02"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema("set_report.schema.json"))
+        assert report["eac"]["hull_bound"] is None
+        assert report["eac"]["value"] >= 4.90
+        with pytest.raises(SystemExit) as refused:
+            main(argv + ["--hull", "star"])
+        assert refused.value.code == 2
 
     def test_sep(self, capsys, disk_file, pair_file):
         code, out = run(

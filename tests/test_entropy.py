@@ -32,15 +32,11 @@ PAIR = np.array([[-0.5, 0.0], [0.5, 0.0]])
 
 class TestHullBound:
     def test_segmental_box(self):
-        v = eac_hull_bound(UNIT_BOX, PAIR, "segmental", 1e-3)
+        v = eac_hull_bound(UNIT_BOX, PAIR, 1e-3)
         assert 2.0 <= v <= 2.0 / (1 - 1e-3)
 
     def test_singleton_is_zero(self):
-        assert eac_hull_bound(UNIT_DISK, [(0.3, 0.1)], "convex") == 0.0
-
-    def test_star_in_disk(self):
-        v = eac_hull_bound(UNIT_DISK, PAIR, "star", 1e-3, star_center=(0, 0))
-        assert 2.0 <= v <= 2.0 / (1 - 1e-3)
+        assert eac_hull_bound(UNIT_DISK, [(0.3, 0.1)]) == 0.0
 
     def test_uncertified_hull_gives_infinity(self):
         from harnack.geometry import UnionOfBalls
@@ -49,7 +45,7 @@ class TestHullBound:
             np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0], [2.0, 0.0]]),
             np.full(4, 1.1),
         )
-        assert eac_hull_bound(u, [(0.0, 0.0), (2.0, 2.0)], "segmental", 1e-2) == math.inf
+        assert eac_hull_bound(u, [(0.0, 0.0), (2.0, 2.0)], 1e-2) == math.inf
 
 
 class TestEstimator:
@@ -82,7 +78,7 @@ class TestEstimator:
 
     def test_hull_domination(self):
         est = eac_estimate(Lattice(UNIT_BOX, 0.05), PAIR)
-        hull = eac_hull_bound(UNIT_BOX, PAIR, "segmental", 0.005)
+        hull = eac_hull_bound(UNIT_BOX, PAIR, 0.005)
         assert est.value <= hull + 0.05
 
     def test_polyline_feasibility(self):

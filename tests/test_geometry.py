@@ -108,22 +108,8 @@ class TestDiameter:
 class TestHullClearance:
     def test_segmental_box(self):
         res = 1e-3
-        v = hull_clearance(UNIT_BOX, [(-0.5, 0), (0.5, 0)], "segmental", res)
+        v = hull_clearance(UNIT_BOX, [(-0.5, 0), (0.5, 0)], res)
         assert 0.5 - res / 2 <= v <= 0.5
-
-    def test_convex_singleton(self):
-        assert hull_clearance(UNIT_DISK, [(0.0, 0.0)], "convex", 1e-3) == 1.0
-
-    def test_star_in_disk(self):
-        res = 1e-3
-        v = hull_clearance(
-            UNIT_DISK, [(-0.5, 0), (0.5, 0)], "star", res, star_center=(0, 0)
-        )
-        assert 0.5 - res / 2 <= v <= 0.5
-
-    def test_star_center_outside_rejected(self):
-        with pytest.raises(ValueError, match="star center"):
-            hull_clearance(UNIT_DISK, [(0.0, 0.0)], "star", 1e-3, star_center=(2, 0))
 
     def test_hull_outside_domain_gives_zero(self):
         u = UnionOfBalls(
@@ -131,47 +117,19 @@ class TestHullClearance:
             np.full(4, 1.1),
         )
         # the segment between opposite lobes passes near the uncovered middle
-        assert hull_clearance(u, [(0.0, 0.0), (2.0, 2.0)], "segmental", 1e-2) == 0.0
+        assert hull_clearance(u, [(0.0, 0.0), (2.0, 2.0)], 1e-2) == 0.0
 
     def test_finer_resolution_is_monotone(self):
         pts = [(-0.5, -0.2), (0.6, 0.1), (0.1, 0.55)]
-        for kind in ("segmental", "convex"):
-            vals = [
-                hull_clearance(UNIT_BOX, pts, kind, res)
-                for res in (0.2, 0.1, 0.05, 0.025)
-            ]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
-        vals = [
-            hull_clearance(UNIT_BOX, pts, "star", res, star_center=(0, 0))
-            for res in (0.2, 0.1, 0.05, 0.025)
-        ]
+        vals = [hull_clearance(UNIT_BOX, pts, res) for res in (0.2, 0.1, 0.05, 0.025)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_convex_below_segmental_plus_resolution(self):
-        # conv S is a superset of the segmental hull, so its true clearance
-        # cannot exceed the segmental one
-        res = 0.01
-        for pts in (
-            [(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)],
-            [(-0.3, 0.0), (0.3, 0.0), (0.0, 0.6), (0.1, -0.4)],
-        ):
-            cvx = hull_clearance(UNIT_BOX, pts, "convex", res)
-            seg = hull_clearance(UNIT_BOX, pts, "segmental", res)
-            assert cvx <= seg + res
-
-    def test_high_dim_convex_falls_back(self):
-        cube = Box(-np.ones(3), np.ones(3))
-        pts = [(-0.5, 0, 0), (0.5, 0, 0)]
-        with pytest.warns(UserWarning, match="not convex-certified"):
-            v = hull_clearance(cube, pts, "convex", 1e-2)
-        assert v == hull_clearance(cube, pts, "segmental", 1e-2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            hull_clearance(UNIT_BOX, np.zeros((0, 2)), "segmental", 1e-3)
+            hull_clearance(UNIT_BOX, np.zeros((0, 2)), 1e-3)
 
     @pytest.mark.parametrize("name", SEGMENT_DOMAINS)
-    def test_segmental_and_star_match_per_segment_loop(self, name):
+    def test_segmental_matches_per_segment_loop(self, name):
         domain = SEGMENT_DOMAINS[name]
         res = 1e-3 * domain.bounding_diameter()
         for n in (1, 2, 7):
@@ -180,10 +138,7 @@ class TestHullClearance:
             for i in range(n):
                 for j in range(i + 1, n):
                     seg = min(seg, certified_segment_clearance(domain, p[i], p[j], res))
-            assert hull_clearance(domain, p, "segmental", res) == max(0.0, seg)
-            z = p[0]
-            star = min(certified_segment_clearance(domain, z, q, res) for q in p)
-            assert hull_clearance(domain, p, "star", res, star_center=z) == max(0.0, star)
+            assert hull_clearance(domain, p, res) == max(0.0, seg)
 
 
 class TestSegmentClearances:

@@ -1,11 +1,13 @@
-"""The package's public names: a change to them shows in this list, and
-the README's library example runs as written."""
+"""The package's public names and the CLI's options: a change to them
+shows in these lists, and the README's library example runs as written."""
 
+import argparse
 from pathlib import Path
 
 import pytest
 
 import harnack
+from harnack import cli, geometry
 
 PUBLIC = [
     "Ball",
@@ -42,11 +44,63 @@ PUBLIC = [
     "verify_between_conditions",
 ]
 
+GEOMETRY = [
+    "Ball",
+    "Box",
+    "Lattice",
+    "PointSet",
+    "Polygon2D",
+    "UnionOfBalls",
+    "certified_segment_clearance",
+    "certified_segment_clearances",
+    "contains",
+    "diameter",
+    "dist_to_complement",
+    "dump_domain",
+    "dump_point_set",
+    "enclosing_ball",
+    "hull_clearance",
+    "lattice_half_offsets",
+    "lattice_neighbors",
+    "load_domain",
+    "load_point_set",
+    "segment_samples",
+]
+
+# each subcommand's option strings, or a positional's name, in parser order
+CLI_OPTIONS = {
+    "ball": ["--dim", "--radius", "--rho"],
+    "sandwich": ["--domain", "--pair", "--hops", "--grid", "--out"],
+    "set": ["what", "--domain", "--set", "--start", "--hops", "--grid", "--out"],
+    "plot": ["--domain", "artifacts", "--out"],
+}
+
 
 def test_public_names_are_pinned():
     assert PUBLIC == sorted(PUBLIC)
     assert sorted(harnack.__all__) == PUBLIC
     assert len(set(harnack.__all__)) == len(harnack.__all__)
+
+
+def test_geometry_names_are_pinned():
+    assert GEOMETRY == sorted(GEOMETRY)
+    assert sorted(geometry.__all__) == GEOMETRY
+    assert len(set(geometry.__all__)) == len(geometry.__all__)
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [
+            o
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+            for o in (a.option_strings or [a.dest])
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_every_public_name_resolves():
