@@ -1,8 +1,9 @@
 """Exact ball values versus certified lower bounds.
 
 Every positive harmonic function on a ball is a Poisson integral, so the
-Harnack distance between two points of a d-ball is known exactly; in the
-disk it is exp of the hyperbolic (Poincare) distance.  On a general domain
+Harnack distance between two points of a d-ball is known exactly
+(`ball_harnack_two_points`, any d); in the disk it is exp of the
+hyperbolic (Poincare) distance.  On a general domain
 we cannot evaluate it, but subordination still certifies lower bounds:
 any ball containing the domain has a *smaller* Harnack distance, so its
 exact value bounds ours from below.
@@ -20,7 +21,6 @@ from harnack import (
     Ball,
     Box,
     ball_harnack_two_points,
-    disk_harnack_two_points,
     poisson_witness_lower_bound,
 )
 
@@ -34,7 +34,7 @@ def main():
     ]
     print(f"{'pair':>28} {'exact':>10} {'poisson':>10}")
     for x, y in pairs:
-        exact = disk_harnack_two_points(x, y)
+        exact = ball_harnack_two_points(x, y, disk.center, disk.radius)
         pois = poisson_witness_lower_bound(disk, x, y)
         print(f"{str((x, y)):>28} {exact:>10.4f} {pois.value:>10.4f}")
 

@@ -6,9 +6,11 @@ The separation of two interior points x, y is
 
 i.e. how far the pair is from having overlapping certified balls.  When
 q < 1 a single Harnack step applies and yields an explicit bound
-growing like (1 - q)^(-2(d-1)).  When q >= 1 no single step works, but a
-relay chain of intermediate points can restore q < 1 on every link; the
-bounds then multiply along the chain.
+growing like (1 - q)^(-2(d-1)); `pair_bound` returns it in two forms,
+the stated one and the smaller proof-sharp one.  When q >= 1 no single
+step works, but a relay chain of intermediate points can restore q < 1
+on every link; the bounds then multiply along the chain, and
+`chain_bound` returns both products.
 
 The hop-limited minimax solver finds, on a lattice inside the domain,
 the relay chain with at most l links whose worst link separation is
@@ -35,8 +37,9 @@ def main():
 
     q = pair_separation(disk, x, y)
     print(f"pair separation q = {q:.6f}")
-    print(f"one-step bound (stated form):      {pair_bound(disk, x, y, 'stated'):.4f}")
-    print(f"one-step bound (proof-sharp form): {pair_bound(disk, x, y, 'proof_sharp'):.4f}")
+    stated, proof_sharp = pair_bound(disk, x, y)
+    print(f"one-step bound (stated form):      {stated:.4f}")
+    print(f"one-step bound (proof-sharp form): {proof_sharp:.4f}")
     print(f"(exact disk value is {49 / 9:.4f})")
 
     print()
@@ -44,7 +47,8 @@ def main():
     q_far = pair_separation(disk, *far)
     print(f"a harder pair has q = {q_far:.4f} >= 1: the one-step bound is void.")
     relay = [far[0], np.zeros(2), far[1]]
-    print(f"through-the-center relay chain bound: {chain_bound(disk, relay, 'proof_sharp'):.4f}")
+    stated, proof_sharp = chain_bound(disk, relay)
+    print(f"through-the-center relay chain bound: {proof_sharp:.4f} (stated form {stated:.4f})")
 
     print()
     lattice = Lattice(disk, 0.05)

@@ -12,12 +12,8 @@ from .geometry import (
     Box,
     Lattice,
     Polygon2D,
-    PointSet,
     UnionOfBalls,
-    contains,
     diameter,
-    dist_to_complement,
-    enclosing_ball,
     hull_clearance,
     load_domain,
     load_point_set,
@@ -26,7 +22,6 @@ from .exact import (
     LowerBoundCertificate,
     ball_harnack_from_center,
     ball_harnack_two_points,
-    disk_harnack_two_points,
     poisson_witness_lower_bound,
 )
 from .entropy import (
@@ -55,19 +50,14 @@ __all__ = [
     "Box",
     "Lattice",
     "Polygon2D",
-    "PointSet",
     "UnionOfBalls",
-    "contains",
     "diameter",
-    "dist_to_complement",
-    "enclosing_ball",
     "hull_clearance",
     "load_domain",
     "load_point_set",
     "LowerBoundCertificate",
     "ball_harnack_from_center",
     "ball_harnack_two_points",
-    "disk_harnack_two_points",
     "poisson_witness_lower_bound",
     "BallChain",
     "EacEstimate",

@@ -78,7 +78,7 @@ def cmd_sandwich(args) -> int:
     # each point's clearance, evaluated once for interiority, q and the pair bounds
     clear = []
     for p in (x, y):
-        clear.append(geometry.dist_to_complement(domain, p))
+        clear.append(float(domain.clearance(p)[0]))
         if not clear[-1] > 0.0:
             raise ValueError(f"point {p.tolist()} is not interior to the domain")
     grid = _grid_step(args, domain)
@@ -89,11 +89,12 @@ def cmd_sandwich(args) -> int:
     uppers: dict[str, float] = {}
     inapplicable: dict[str, str] = {}
 
-    # pair bound, both variants
+    # pair bound, both forms
     q = separation.separation_from_clearances(x, y, *clear)
     if q < 1.0:
-        for variant in ("stated", "proof_sharp"):
-            uppers[f"pair_{variant}"] = separation.pair_bound_from_q(q, domain.dim, variant)
+        uppers["pair_stated"], uppers["pair_proof_sharp"] = separation.pair_bound_from_q(
+            q, domain.dim
+        )
     else:
         inapplicable["pair_stated"] = f"pair separation {q:.12g} >= 1"
         inapplicable["pair_proof_sharp"] = f"pair separation {q:.12g} >= 1"
@@ -116,8 +117,9 @@ def cmd_sandwich(args) -> int:
         witness = result.per_target[0][1]
         if result.value < 1.0 and witness is not None:
             uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
-            uppers["chain_stated"] = separation.chain_bound(domain, witness, "stated")
-            uppers["chain_proof_sharp"] = separation.chain_bound(domain, witness, "proof_sharp")
+            uppers["chain_stated"], uppers["chain_proof_sharp"] = separation.chain_bound(
+                domain, witness
+            )
         else:
             inapplicable["set_hop"] = (
                 f"set separation {result.value:.12g} >= 1 at hops={hops}; "
@@ -236,25 +238,27 @@ def cmd_set(args) -> int:
     return 0
 
 
-def _load_artifact(path):
-    with open(path) as f:
-        data = json.load(f)
-    point_sets, polylines, chains = [], [], []
-    if "points" in data:
-        point_sets.append(np.asarray(data["points"], dtype=float))
-    elif "centers" in data:
-        chains.append((np.asarray(data["centers"], dtype=float), float(data["radius"])))
-    elif "per_pair" in data or ("eac" in data and data["eac"]):
-        for rec in data.get("per_pair", data.get("eac", {}).get("per_pair", [])):
-            if rec.get("polyline"):
-                polylines.append(np.asarray(rec["polyline"], dtype=float))
-    elif "per_target" in data or "sep" in data:
-        for rec in data.get("per_target", data.get("sep", {}).get("per_target", [])):
-            if rec.get("polyline"):
-                polylines.append(np.asarray(rec["polyline"], dtype=float))
-    else:
-        raise ValueError(f"unrecognized artifact file: {path}")
-    return point_sets, polylines, chains
+def _load_artifact(path, domain):
+    """(point sets, polylines, ball chains) of a point-set file, a ball-chain
+    file or a `set` report, whose eac and sep witnesses are both drawn."""
+
+    def parse(data):
+        point_sets, polylines, chains = [], [], []
+        if "points" in data:
+            point_sets.append(geometry.points_array(data["points"], domain))
+        elif "centers" in data:
+            centers = geometry.points_array(data["centers"], domain)
+            chains.append((centers, float(data["radius"])))
+        elif "eac" in data or "sep" in data:
+            eac, sep = data.get("eac") or {}, data.get("sep") or {}
+            for rec in eac.get("per_pair", []) + sep.get("per_target", []):
+                if rec["polyline"] is not None:  # None: an unreachable target
+                    polylines.append(geometry.points_array(rec["polyline"], domain))
+        else:
+            raise ValueError(f"unrecognized artifact file: {path}")
+        return point_sets, polylines, chains
+
+    return geometry._load(path, "artifact", parse)
 
 
 def cmd_plot(args) -> int:
@@ -263,7 +267,7 @@ def cmd_plot(args) -> int:
         raise ValueError("plotting is 2-D only")
     point_sets, polylines, chains = [], [], []
     for path in args.artifacts:
-        ps, pl, ch = _load_artifact(path)
+        ps, pl, ch = _load_artifact(path, domain)
         point_sets.extend(ps)
         polylines.extend(pl)
         chains.extend(ch)

@@ -30,7 +30,6 @@ from .geometry import (
     Lattice,
     certified_segment_clearances,
     diameter,
-    dist_to_complement,
     hull_clearance,
     lattice_half_offsets,
     lattice_neighbors,
@@ -265,7 +264,7 @@ def build_ball_chain(domain: Domain, x, y, C: float, estimate: EacEstimate) -> B
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.array_equal(x, y):
-        r = dist_to_complement(domain, x)
+        r = float(domain.clearance(x)[0])
         if r <= 0:
             raise ValueError("point must be interior")
         return BallChain(np.vstack([x, x]), r)

@@ -21,7 +21,6 @@ __all__ = [
     "LowerBoundCertificate",
     "ball_harnack_from_center",
     "ball_harnack_two_points",
-    "disk_harnack_two_points",
     "poisson_witness_lower_bound",
 ]
 
@@ -108,15 +107,6 @@ def ball_harnack_two_points(x, y, center, radius: float) -> float:
     k = 2|u - v|^2 / (ab) and s = 1 + k + sqrt(k (k + 2)) (the value in the
     disk through the center, x and y).  ValueError beyond the float range."""
     return _in_float_range(_ball_pair(x, y, center, radius)[0])
-
-
-def disk_harnack_two_points(x, y, center=(0.0, 0.0), radius: float = 1.0) -> float:
-    """Exact Harnack distance between two points of a planar disk: exp of
-    their Poincare distance (curvature -1) after rescaling to the unit disk,
-    the d = 2 case of ball_harnack_two_points."""
-    if np.size(x) != 2 or np.size(y) != 2 or np.size(center) != 2:
-        raise ValueError("the disk oracle is 2-D only")
-    return ball_harnack_two_points(x, y, center, radius)
 
 
 def _poisson_ratio(x, y, zeta, center, radius: float) -> float:

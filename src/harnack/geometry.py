@@ -22,12 +22,8 @@ __all__ = [
     "Box",
     "Polygon2D",
     "UnionOfBalls",
-    "PointSet",
-    "dist_to_complement",
-    "contains",
     "diameter",
     "hull_clearance",
-    "enclosing_ball",
     "load_domain",
     "dump_domain",
     "load_point_set",
@@ -35,8 +31,6 @@ __all__ = [
     "Lattice",
     "lattice_half_offsets",
     "lattice_neighbors",
-    "segment_samples",
-    "certified_segment_clearance",
     "certified_segment_clearances",
 ]
 
@@ -341,32 +335,9 @@ class UnionOfBalls(Domain):
         }
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """A finite set of points strictly inside a domain."""
-
-    points: np.ndarray
-    domain: Domain
-
-    def __post_init__(self):
-        p = _as_points(self.points)
-        object.__setattr__(self, "points", p)
-        _check_dim(self.domain, p)
-        if p.shape[0] == 0:
-            raise ValueError("point set must be nonempty")
-        clear = self.domain.clearance(p)
-        if not np.all(clear > 0):
-            bad = int(np.argmin(clear))
-            raise ValueError(f"point {p[bad].tolist()} is not interior to the domain")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def points_array(pts, domain: Domain | None = None) -> np.ndarray:
-    """Accept a PointSet or raw coordinates; validate interiority when possible."""
-    if isinstance(pts, PointSet):
-        return pts.points
+    """Coordinates as a finite (n, d) float array, of the domain's dimension
+    when a domain is given."""
     p = _as_points(pts)
     if domain is not None:
         _check_dim(domain, p)
@@ -375,20 +346,6 @@ def points_array(pts, domain: Domain | None = None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def dist_to_complement(domain: Domain, x) -> float:
-    """Exact Euclidean distance from x to the complement of the domain.
-
-    Returns 0 if x is outside or on the boundary; strictly positive iff
-    x is interior.
-    """
-    return float(domain.clearance(x)[0])
-
-
-def contains(domain: Domain, x) -> bool:
-    """True iff x is strictly inside the (open) domain."""
-    return dist_to_complement(domain, x) > 0.0
 
 
 def diameter(pts) -> float:
@@ -408,48 +365,33 @@ def _subdivisions(length: float, resolution: float) -> int:
     return 1 << max(0, math.ceil(math.log2(length / resolution)))
 
 
-def segment_samples(a, b, resolution: float) -> tuple[np.ndarray, float]:
-    """Uniform samples on [a, b] with spacing <= resolution.
-
-    The subdivision count is a power of two so that halving the resolution
-    gives nested sample sets (monotone certificates).
-    Returns (samples, spacing).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    if length == 0.0:
-        return a[None, :], 0.0
-    n = _subdivisions(length, resolution)
-    t = np.linspace(0.0, 1.0, n + 1)
-    return a + t[:, None] * (b - a), length / n
-
-
-def certified_segment_clearance(domain: Domain, a, b, resolution: float) -> float:
-    """Certified lower bound on min clearance along [a, b] (Lipschitz rule)."""
-    samples, spacing = segment_samples(a, b, resolution)
-    m = float(domain.clearance(samples).min())
-    return max(0.0, m - spacing / 2.0)
-
-
 SEGMENT_BATCH_SAMPLES = 1 << 18  # bounds the samples, and so the memory, of one clearance call
 
 
 def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray:
-    """certified_segment_clearance of every segment [a[k], b[k]] of two
-    (k, d) point arrays, from one clearance call over all their samples.
+    """Certified lower bounds on the least clearance along each segment
+    [a[k], b[k]] of two (k, d) point arrays, from one clearance call over
+    all their samples; an empty array for k = 0.
 
-    resolution is a scalar or one value per segment.  The samples,
-    spacings and certificates are those of the per-segment function, float
-    for float.  The call is split once a batch holds SEGMENT_BATCH_SAMPLES
-    samples, so that many long segments do not make one huge array.
+    resolution is a positive finite scalar or one such value per segment.
+    A segment of length L is cut into the least power of two n of pieces no
+    longer than its resolution, so that halving the resolution nests the
+    samples and the certificates are monotone; its certificate is the least
+    clearance at the n + 1 ends of the pieces minus L / (2n) (the clearance
+    is 1-Lipschitz), and no less than 0.  A zero-length segment gets the
+    clearance of its point.  The call is split once a batch holds
+    SEGMENT_BATCH_SAMPLES samples, so that many long segments do not make
+    one huge array.
     """
+    res = np.asarray(resolution, dtype=float)
+    if not np.all(np.isfinite(res) & (res > 0)):
+        raise ValueError("resolution must be positive and finite")
     a = np.asarray(a, dtype=float)
     diff = np.asarray(b, dtype=float) - a
-    low, spacing, batch, starts, size = [], [], [], [], 0
-    for p, v, r in zip(a, diff, np.full(len(a), resolution).tolist()):
-        # sqrt(v . v) is the np.linalg.norm(v) of segment_samples; the
-        # row-wise norm of a matrix rounds differently in the last bit
+    low, spacing, batch, starts, size = [np.zeros(0)], [], [], [], 0  # k = 0: no batch
+    for p, v, r in zip(a, diff, np.full(len(a), res).tolist()):
+        # sqrt(v . v) rounds as the norm of one vector, np.linalg.norm(v);
+        # the row-wise norm of a matrix rounds differently in the last bit
         length = math.sqrt(v.dot(v))
         n = _subdivisions(length, r) if length > 0.0 else 1  # 0-length: spacing 0
         # i * (v / n) rounds as linspace's (i / n) * v: both quotients are
@@ -460,8 +402,9 @@ def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray
         starts.append(size)
         size += n + 1
         if size >= SEGMENT_BATCH_SAMPLES or len(spacing) == len(a):
-            # in C order, the layout of segment_samples, so that each shape's
-            # clearance arithmetic (BLAS products included) sees the same input
+            # in C order, the layout of one segment's (n + 1, d) samples, so
+            # that each shape's clearance arithmetic (BLAS products included)
+            # rounds as it does on them alone
             samples = np.concatenate(batch, axis=1).T.copy()
             low.append(np.minimum.reduceat(domain.clearance(samples), starts))
             batch, starts, size = [], [], 0
@@ -483,21 +426,11 @@ def hull_clearance(domain: Domain, pts, resolution: float | None = None) -> floa
         raise ValueError("hull of an empty set")
     if resolution is None:
         resolution = 1e-3 * domain.bounding_diameter()
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     # Each point starts a segment, whose certificate is at most the clearance
     # at its first sample, the point: so the minimum also bounds the points.
     n = p.shape[0]
     i, j = np.array([*itertools.combinations(range(n), 2), (n - 1, n - 1)]).T
     return float(certified_segment_clearances(domain, p[i], p[j], resolution).min())
-
-
-def enclosing_ball(domain: Domain, center) -> float:
-    """Smallest radius R with the domain inside Ball(center, R); center interior."""
-    c = np.asarray(center, dtype=float)
-    if not contains(domain, c):
-        raise ValueError("enclosing ball center must be inside the domain")
-    return domain.enclosing_radius(c)
 
 
 LATTICE_BUDGET = 1 << 22
@@ -658,7 +591,7 @@ def _load(path, kind: str, parse):
         data = json.load(f)
     try:
         return parse(data)
-    except (TypeError, KeyError, IndexError, OverflowError) as e:
+    except (TypeError, KeyError, IndexError, OverflowError, AttributeError) as e:
         raise ValueError(f"malformed {kind} file {path}: {type(e).__name__}: {e}") from None
 
 
@@ -672,9 +605,19 @@ def dump_domain(domain: Domain, path) -> None:
         f.write("\n")
 
 
-def load_point_set(path, domain: Domain) -> PointSet:
+def load_point_set(path, domain: Domain) -> np.ndarray:
+    """The points of a point-set file as an (n, d) array: nonempty, of the
+    domain's dimension, finite and interior to the domain."""
+
     def parse(data):
-        return PointSet(np.asarray(data["points"], dtype=float), domain)
+        p = points_array(data["points"], domain)
+        if p.shape[0] == 0:
+            raise ValueError("point set must be nonempty")
+        clear = domain.clearance(p)
+        if not np.all(clear > 0):
+            bad = int(np.argmin(clear))
+            raise ValueError(f"point {p[bad].tolist()} is not interior to the domain")
+        return p
 
     return _load(path, "point-set", parse)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (
     Domain,
     Lattice,
-    certified_segment_clearance,
+    certified_segment_clearances,
     lattice_half_offsets,
     lattice_neighbors,
     points_array,
@@ -52,32 +52,35 @@ def separation_from_clearances(x, y, cx: float, cy: float) -> float:
     return float(np.linalg.norm(diff)) / (cx + cy)
 
 
-def pair_bound(domain: Domain, x, y, variant: str = "stated") -> float:
-    """Upper bound on the Harnack distance of a pair with separation q < 1.
-
-    "stated": 2^(2d) / (1 - q)^(2(d-1)).
-    "proof_sharp": (2^(d-2) * (3 + q) / (1 - q)^(d-1))^2, the intermediate
-    product from the midpoint construction; always <= the stated value.
-    """
+def pair_bound(domain: Domain, x, y) -> tuple[float, float]:
+    """Upper bounds (stated, proof_sharp) on the Harnack distance of a pair
+    with separation q < 1: see pair_bound_from_q."""
     q = pair_separation(domain, x, y)
-    return pair_bound_from_q(q, domain.dim, variant)
+    return pair_bound_from_q(q, domain.dim)
 
 
-def pair_bound_from_q(q: float, dim: int, variant: str = "stated") -> float:
+def pair_bound_from_q(q: float, dim: int) -> tuple[float, float]:
+    """The pair bounds at separation q < 1 in dimension d: the stated form
+    2^(2d) / (1 - q)^(2(d-1)) and the proof-sharp form
+    (2^(d-2) * (3 + q) / (1 - q)^(d-1))^2, the intermediate product of the
+    midpoint construction, which is never larger.  A form beyond the float
+    range is +inf; the stated form overflows first."""
     if not q < 1.0:
         raise ValueError(
             "separation condition violated: no single-link certificate (q >= 1)"
         )
     if q < 0:
         raise ValueError("separation must be >= 0")
+    # (1-q)^(d-1) is 0 for q near 1 and large d
     try:
-        if variant == "stated":
-            return 2.0 ** (2 * dim) / (1.0 - q) ** (2 * (dim - 1))
-        if variant == "proof_sharp":
-            return (2.0 ** (dim - 2) * (3.0 + q) / (1.0 - q) ** (dim - 1)) ** 2
-    except (OverflowError, ZeroDivisionError):  # (1-q)^(d-1) is 0 for q near 1, large d
-        return math.inf
-    raise ValueError(f"unknown variant: {variant!r}")
+        stated = 2.0 ** (2 * dim) / (1.0 - q) ** (2 * (dim - 1))
+    except (OverflowError, ZeroDivisionError):
+        stated = math.inf
+    try:
+        proof_sharp = (2.0 ** (dim - 2) * (3.0 + q) / (1.0 - q) ** (dim - 1)) ** 2
+    except (OverflowError, ZeroDivisionError):
+        proof_sharp = math.inf
+    return stated, proof_sharp
 
 
 def sequence_separation(domain: Domain, points) -> float:
@@ -228,20 +231,22 @@ def set_harnack_bound(result, hops: int, dim: int) -> float:
         return math.inf
 
 
-def chain_bound(domain: Domain, points, variant: str = "stated") -> float:
-    """Product of pair bounds along a chain: an upper bound on the Harnack
-    distance between the first and last point (multiplicative triangle)."""
+def chain_bound(domain: Domain, points) -> tuple[float, float]:
+    """Products (stated, proof_sharp) of the pair bounds along a chain: upper
+    bounds on the Harnack distance between the first and last point
+    (multiplicative triangle)."""
     p = points_array(points, domain)
     if p.shape[0] < 2:
         raise ValueError("chain needs at least 2 points")
     clear = domain.clearance(p).tolist()
-    total = 1.0
+    stated = proof_sharp = 1.0
     for k in range(1, p.shape[0]):
         q = separation_from_clearances(p[k - 1], p[k], clear[k - 1], clear[k])
         if not q < 1.0:
             raise ValueError(f"chain link {k - 1} has separation {q} >= 1")
-        total *= pair_bound_from_q(q, domain.dim, variant)
-    return total
+        link_stated, link_sharp = pair_bound_from_q(q, domain.dim)
+        stated, proof_sharp = stated * link_stated, proof_sharp * link_sharp
+    return stated, proof_sharp
 
 
 def verify_between_conditions(
@@ -260,6 +265,7 @@ def verify_between_conditions(
         raise ValueError("polyline points must be interior to the domain")
     if resolution is None:
         resolution = 1e-3 * domain.bounding_diameter()
+    cert = certified_segment_clearances(domain, p[:-1], p[1:], resolution)
     report = {"links": p.shape[0] - 1, "first_violation": None, "reason": None}
     for k in range(p.shape[0] - 1):
         gap = float(np.linalg.norm(p[k + 1] - p[k]))
@@ -267,7 +273,7 @@ def verify_between_conditions(
             report["first_violation"] = k
             report["reason"] = "link separation exceeds q"
             return False, report
-        if certified_segment_clearance(domain, p[k], p[k + 1], resolution) <= 0.0:
+        if cert[k] <= 0.0:
             report["first_violation"] = k
             report["reason"] = "segment not certified inside the domain"
             return False, report

@@ -21,7 +21,7 @@ from harnack.entropy import (
     eac_harnack_bound,
     eac_hull_bound,
 )
-from harnack.exact import ball_harnack_from_center, disk_harnack_two_points
+from harnack.exact import ball_harnack_from_center, ball_harnack_two_points
 from harnack.geometry import Ball, Box, Lattice
 from harnack.separation import (
     chain_bound,
@@ -67,7 +67,7 @@ def test_criterion_2_disk_normalization():
         rho = float(np.linalg.norm(y))
         if rho >= 0.999:
             continue
-        got = disk_harnack_two_points((0.0, 0.0), y)
+        got = ball_harnack_two_points((0.0, 0.0), y, UNIT_DISK.center, UNIT_DISK.radius)
         want = ball_harnack_from_center(2, 1.0, rho)
         assert got == pytest.approx(want, rel=1e-9)
         checked += 1
@@ -88,15 +88,14 @@ def test_criterion_3_soundness_sandwich_on_disks():
         q = pair_separation(UNIT_DISK, x, y)
         if q >= 0.95:
             continue
-        exact = disk_harnack_two_points(x, y)
+        exact = ball_harnack_two_points(x, y, UNIT_DISK.center, UNIT_DISK.radius)
         rho = float(np.linalg.norm(x - y))
         lower = max(ball_harnack_from_center(2, UNIT_DISK.enclosing_radius(c), rho) for c in (x, y))
         assert lower <= exact + 1e-9
 
         uppers = [
-            pair_bound_from_q(q, 2, "stated"),
-            pair_bound_from_q(q, 2, "proof_sharp"),
-            chain_bound(UNIT_DISK, [x, np.zeros(2), y], "proof_sharp"),
+            *pair_bound_from_q(q, 2),
+            chain_bound(UNIT_DISK, [x, np.zeros(2), y])[1],
         ]
         eac = eac_hull_bound(UNIT_DISK, np.vstack([x, y]), 1e-3)
         if math.isfinite(eac):
@@ -115,7 +114,8 @@ def test_criterion_3_soundness_sandwich_on_disks():
 def test_criterion_4_bound_algebra():
     for d in range(2, 7):
         for q in np.arange(0.0, 1.0, 0.01):
-            assert pair_bound_from_q(q, d, "proof_sharp") <= pair_bound_from_q(q, d, "stated")
+            stated, proof_sharp = pair_bound_from_q(q, d)
+            assert proof_sharp <= stated
     for d in range(2, 7):
         for eac in np.linspace(0.0, 10.0, 201):
             sharp, rounded = eac_harnack_bound(float(eac), d)
@@ -124,7 +124,7 @@ def test_criterion_4_bound_algebra():
 
 
 def test_criterion_5_worked_numbers():
-    assert pair_bound_from_q(2.0 / 3.0, 2, "stated") == pytest.approx(144.0, rel=1e-12)
+    assert pair_bound_from_q(2.0 / 3.0, 2)[0] == pytest.approx(144.0, rel=1e-12)
     sharp, rounded = eac_harnack_bound(2.0, 2)
     assert sharp == pytest.approx(243.0, rel=1e-12)
     assert rounded == pytest.approx(4096.0, rel=1e-12)
@@ -219,7 +219,7 @@ def test_criterion_9_monotonicity_properties():
 
     qs = np.linspace(0.0, 0.99, 100)
     for d in (2, 3, 4):
-        pb = [pair_bound_from_q(q, d) for q in qs]
+        pb = [pair_bound_from_q(q, d)[0] for q in qs]
         sb = [set_harnack_bound(q, 2, d) for q in qs]
         assert all(b > a for a, b in zip(pb, pb[1:]))
         assert all(b > a for a, b in zip(sb, sb[1:]))

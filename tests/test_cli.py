@@ -194,8 +194,8 @@ class TestSandwich:
         code, out = run(capsys, ["sandwich", "--domain", str(poly), "--pair=-0.5,-0.5;0.5,-0.6"])
         assert code == 0
         assert "chain_proof_sharp" in json.loads(out)["uppers"]
-        # x and y 2, hull bound 1, lattice 1, solve 1, two chains 2, lower bound 1
-        assert len(calls) <= 8
+        # x 1, y 1, hull bound 1, lattice 1, solve 1, chain 1, lower bound 1
+        assert len(calls) == 7
 
     def test_4d_ball_refuses_hops_below_one(self, capsys, tmp_path):
         ball = tmp_path / "ball4.json"
@@ -488,6 +488,29 @@ class TestPlot:
         main(["plot", "--domain", disk_file, pair_file, "--out", str(a)])
         main(["plot", "--domain", disk_file, pair_file, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_set_bound_report_draws_both_witness_kinds(self, capsys, tmp_path, disk_file):
+        pts = tmp_path / "three.json"
+        pts.write_text(json.dumps({"points": [[0.5, 0.1], [-0.6, 0.3], [0.1, -0.7]]}))
+        report = tmp_path / "bound.json"
+        argv = ["set", "bound", "--domain", disk_file, "--set", str(pts), "--start=0,0",
+                "--grid", "0.1", "--out", str(report)]
+        assert main(argv) == 0
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--domain", disk_file, str(report), "--out", str(out)]) == 0
+        # 3 eac witnesses, one per pair, and 3 sep witnesses, one per target
+        assert out.read_text().count("<path") == 6
+
+    @pytest.mark.parametrize(
+        "text",
+        ["5", '{"points": 3}', '{"eac": {"per_pair": [{"polyline": 7}]}}', '{"sep": [1]}'],
+    )
+    def test_malformed_artifact_exits_2(self, capsys, tmp_path, disk_file, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--domain", disk_file, str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_artifact_exits_2(self, tmp_path, disk_file):
         bad = tmp_path / "bad.json"

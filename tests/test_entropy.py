@@ -20,10 +20,10 @@ from harnack.geometry import (
     Box,
     Polygon2D,
     UnionOfBalls,
-    certified_segment_clearance,
     Lattice,
     lattice_candidates,
 )
+from segment_oracle import certified_segment_clearance
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))

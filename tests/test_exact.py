@@ -7,13 +7,13 @@ import pytest
 from harnack.exact import (
     ball_harnack_from_center,
     ball_harnack_two_points,
-    disk_harnack_two_points,
     poisson_witness_lower_bound,
 )
 from harnack.geometry import Ball, Box, Polygon2D, UnionOfBalls
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+ORIGIN = (0.0, 0.0)
 
 
 def _enclosing_ball_value(domain, x, y):
@@ -60,13 +60,13 @@ class TestBallFormula:
 
 class TestDiskOracle:
     def test_coincident(self):
-        assert disk_harnack_two_points((0.2, 0.1), (0.2, 0.1)) == 1.0
+        assert ball_harnack_two_points((0.2, 0.1), (0.2, 0.1), ORIGIN, 1.0) == 1.0
 
     def test_center_to_half(self):
-        assert disk_harnack_two_points((0, 0), (0.5, 0)) == pytest.approx(3.0, rel=1e-12)
+        assert ball_harnack_two_points((0, 0), (0.5, 0), ORIGIN, 1.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_symmetric_pair_on_diameter(self):
-        v = disk_harnack_two_points((-0.4, 0), (0.4, 0))
+        v = ball_harnack_two_points((-0.4, 0), (0.4, 0), ORIGIN, 1.0)
         assert v == pytest.approx(49.0 / 9.0, rel=1e-12)
 
     def test_matches_ball_formula_from_center(self):
@@ -75,14 +75,14 @@ class TestDiskOracle:
             y = rng.uniform(-1, 1, size=2)
             if np.linalg.norm(y) >= 0.999:
                 continue
-            got = disk_harnack_two_points((0, 0), y)
+            got = ball_harnack_two_points((0, 0), y, ORIGIN, 1.0)
             want = ball_harnack_from_center(2, 1.0, float(np.linalg.norm(y)))
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_rescaling_invariance(self):
         a, b = (0.1, 0.2), (-0.3, 0.4)
-        v1 = disk_harnack_two_points(a, b)
-        v2 = disk_harnack_two_points(
+        v1 = ball_harnack_two_points(a, b, ORIGIN, 1.0)
+        v2 = ball_harnack_two_points(
             (2 + 0.5 * a[0], -1 + 0.5 * a[1]),
             (2 + 0.5 * b[0], -1 + 0.5 * b[1]),
             center=(2, -1),
@@ -94,24 +94,24 @@ class TestDiskOracle:
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = rng.uniform(-0.7, 0.7, size=(2, 2))
-            assert disk_harnack_two_points(a, b) == pytest.approx(
-                disk_harnack_two_points(b, a), rel=1e-12
+            assert ball_harnack_two_points(a, b, ORIGIN, 1.0) == pytest.approx(
+                ball_harnack_two_points(b, a, ORIGIN, 1.0), rel=1e-12
             )
 
     def test_multiplicative_triangle(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             a, b, c = rng.uniform(-0.7, 0.7, size=(3, 2))
-            dab = disk_harnack_two_points(a, b)
-            dac = disk_harnack_two_points(a, c)
-            dcb = disk_harnack_two_points(c, b)
+            dab = ball_harnack_two_points(a, b, ORIGIN, 1.0)
+            dac = ball_harnack_two_points(a, c, ORIGIN, 1.0)
+            dcb = ball_harnack_two_points(c, b, ORIGIN, 1.0)
             assert dab <= dac * dcb * (1 + 1e-9)
 
     def test_rejects_exterior_and_3d(self):
         with pytest.raises(ValueError):
-            disk_harnack_two_points((0, 0), (1, 0))
-        with pytest.raises(ValueError, match="2-D"):
-            disk_harnack_two_points((0, 0, 0), (0.5, 0, 0))
+            ball_harnack_two_points((0, 0), (1, 0), ORIGIN, 1.0)
+        with pytest.raises(ValueError, match="one dimension"):
+            ball_harnack_two_points((0, 0, 0), (0.5, 0, 0), ORIGIN, 1.0)
 
 
 class TestPoissonWitness:
@@ -134,7 +134,7 @@ class TestPoissonWitness:
         rng = np.random.default_rng(21)
         for _ in range(30):
             a, b = rng.uniform(-0.6, 0.6, size=(2, 2))
-            exact = disk_harnack_two_points(a, b)
+            exact = ball_harnack_two_points(a, b, ORIGIN, 1.0)
             assert _enclosing_ball_value(UNIT_DISK, a, b) <= exact + 1e-9
             assert poisson_witness_lower_bound(UNIT_DISK, a, b).value <= exact + 1e-9
 
@@ -276,7 +276,6 @@ class TestBallOracle:
             want = (1.0 + t) / (1.0 - t)
             got = ball_harnack_two_points([a.real, a.imag], [b.real, b.imag], [0.0, 0.0], 1.0)
             assert got == pytest.approx(want, rel=1e-12)
-            assert disk_harnack_two_points([a.real, a.imag], [b.real, b.imag]) == got
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_symmetric(self, dim):

@@ -12,19 +12,16 @@ from harnack.geometry import (
     Ball,
     Box,
     Lattice,
-    PointSet,
     Polygon2D,
     UnionOfBalls,
-    certified_segment_clearance,
     certified_segment_clearances,
-    contains,
     diameter,
-    dist_to_complement,
     domain_from_dict,
     domain_to_dict,
-    enclosing_ball,
     hull_clearance,
+    load_point_set,
 )
+from segment_oracle import certified_segment_clearance
 
 UNIT_DISK = Ball(np.zeros(2), 1.0)
 UNIT_BOX = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -37,6 +34,11 @@ SEGMENT_DOMAINS = {
 }
 
 
+def clearance_at(domain, x) -> float:
+    """The clearance of one point."""
+    return float(domain.clearance(x)[0])
+
+
 def interior_points(domain, n, seed):
     rng = np.random.default_rng(seed)
     lo, hi = domain.bounding_box()
@@ -46,48 +48,48 @@ def interior_points(domain, n, seed):
 
 class TestDistToComplement:
     def test_ball_radial(self):
-        assert dist_to_complement(UNIT_DISK, (0.4, 0)) == pytest.approx(0.6)
+        assert clearance_at(UNIT_DISK, (0.4, 0)) == pytest.approx(0.6)
 
     def test_box_min_face(self):
-        assert dist_to_complement(UNIT_BOX, (0.5, 0)) == pytest.approx(0.5)
+        assert clearance_at(UNIT_BOX, (0.5, 0)) == pytest.approx(0.5)
 
     def test_exterior_point_is_zero(self):
-        assert dist_to_complement(UNIT_DISK, (2, 0)) == 0.0
+        assert clearance_at(UNIT_DISK, (2, 0)) == 0.0
 
     def test_boundary_is_zero(self):
-        assert dist_to_complement(UNIT_DISK, (1, 0)) == 0.0
+        assert clearance_at(UNIT_DISK, (1, 0)) == 0.0
 
     def test_ball_center_equals_radius(self):
         for r in (0.5, 1.0, 3.7):
             b = Ball(np.array([2.0, -1.0]), r)
-            assert dist_to_complement(b, b.center) == r
+            assert clearance_at(b, b.center) == r
 
     def test_polygon(self):
         tri = Polygon2D(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))
-        assert dist_to_complement(tri, (1.0, 1.0)) == pytest.approx(1.0)
-        assert dist_to_complement(tri, (5.0, 5.0)) == 0.0
+        assert clearance_at(tri, (1.0, 1.0)) == pytest.approx(1.0)
+        assert clearance_at(tri, (5.0, 5.0)) == 0.0
 
     def test_union_of_balls(self):
         u = UnionOfBalls(np.array([[0.0, 0.0], [1.5, 0.0]]), np.array([1.0, 1.0]))
-        assert dist_to_complement(u, (0.0, 0.0)) == pytest.approx(1.0)
-        assert dist_to_complement(u, (1.5, 0.0)) == pytest.approx(1.0)
+        assert clearance_at(u, (0.0, 0.0)) == pytest.approx(1.0)
+        assert clearance_at(u, (1.5, 0.0)) == pytest.approx(1.0)
         # overlap region: max of per-ball depths is a valid lower bound
-        assert dist_to_complement(u, (0.75, 0.0)) == pytest.approx(0.25)
+        assert clearance_at(u, (0.75, 0.0)) == pytest.approx(0.25)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            dist_to_complement(UNIT_DISK, (0.0, 0.0, 0.0))
+            clearance_at(UNIT_DISK, (0.0, 0.0, 0.0))
 
 
 class TestContains:
     def test_center(self):
-        assert contains(UNIT_DISK, (0, 0))
+        assert clearance_at(UNIT_DISK, (0, 0)) > 0
 
     def test_boundary_excluded(self):
-        assert not contains(UNIT_DISK, (1, 0))
+        assert not clearance_at(UNIT_DISK, (1, 0)) > 0
 
     def test_box_corner_region(self):
-        assert contains(UNIT_BOX, (0.99, -0.99))
+        assert clearance_at(UNIT_BOX, (0.99, -0.99)) > 0
 
 
 class TestDiameter:
@@ -128,6 +130,11 @@ class TestHullClearance:
         with pytest.raises(ValueError):
             hull_clearance(UNIT_BOX, np.zeros((0, 2)), 1e-3)
 
+    @pytest.mark.parametrize("res", [0.0, -1.0, math.inf, math.nan])
+    def test_resolution_must_be_positive_and_finite(self, res):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            hull_clearance(UNIT_BOX, [(-0.5, 0), (0.5, 0)], res)
+
     @pytest.mark.parametrize("name", SEGMENT_DOMAINS)
     def test_segmental_matches_per_segment_loop(self, name):
         domain = SEGMENT_DOMAINS[name]
@@ -156,6 +163,18 @@ class TestSegmentClearances:
         want = [certified_segment_clearance(domain, p, q, 0.01) for p, q in zip(a, b)]
         assert np.array_equal(certified_segment_clearances(domain, a, b, 0.01), want)
 
+    def test_zero_segments_give_an_empty_array(self):
+        got = certified_segment_clearances(UNIT_DISK, np.zeros((0, 2)), np.zeros((0, 2)), 0.01)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("res", [0.0, -1.0, math.inf, math.nan])
+    def test_resolution_must_be_positive_and_finite(self, res):
+        a, b = np.zeros((2, 2)), np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            certified_segment_clearances(UNIT_DISK, a, b, res)
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            certified_segment_clearances(UNIT_DISK, a, b, [0.01, res])
+
     def test_large_batches_are_split(self, monkeypatch):
         a = interior_points(UNIT_DISK, 20, seed=1)
         b = interior_points(UNIT_DISK, 20, seed=2)
@@ -177,17 +196,13 @@ class TestSegmentClearances:
 
 class TestEnclosingBall:
     def test_ball_from_center(self):
-        assert enclosing_ball(UNIT_DISK, (0, 0)) == pytest.approx(1.0)
+        assert UNIT_DISK.enclosing_radius((0, 0)) == pytest.approx(1.0)
 
     def test_box_center(self):
-        assert enclosing_ball(UNIT_BOX, (0, 0)) == pytest.approx(math.sqrt(2))
+        assert UNIT_BOX.enclosing_radius((0, 0)) == pytest.approx(math.sqrt(2))
 
     def test_box_off_center(self):
-        assert enclosing_ball(UNIT_BOX, (0.5, 0)) == pytest.approx(math.sqrt(3.25))
-
-    def test_center_outside_rejected(self):
-        with pytest.raises(ValueError):
-            enclosing_ball(UNIT_DISK, (2, 0))
+        assert UNIT_BOX.enclosing_radius((0.5, 0)) == pytest.approx(math.sqrt(3.25))
 
     def test_boundary_samples_within_radius(self):
         theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
@@ -208,7 +223,7 @@ class TestEnclosingBall:
         )
         cases[1] = (UNIT_BOX, box_bdry, (0.5, 0))
         for dom, bdry, center in cases:
-            r = enclosing_ball(dom, center)
+            r = dom.enclosing_radius(center)
             dist = np.linalg.norm(bdry - np.asarray(center), axis=1)
             assert np.all(dist <= r + 1e-12)
 
@@ -266,7 +281,7 @@ class TestLipschitz:
         q = p + scale * np.asarray(w[:d])
         gap = float(np.linalg.norm(p - q))
         batched = domain.clearance(np.vstack([p, q]))
-        single = [dist_to_complement(domain, p), dist_to_complement(domain, q)]
+        single = [clearance_at(domain, p), clearance_at(domain, q)]
         for cp, cq in (batched, single):
             assert cp >= 0.0 and cq >= 0.0
             assert abs(cp - cq) <= gap + 1e-12
@@ -285,9 +300,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="connected"):
             UnionOfBalls(np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([1.0, 1.0]))
 
-    def test_point_set_requires_interior_points(self):
-        with pytest.raises(ValueError, match="interior"):
-            PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), UNIT_DISK)
+    def test_point_set_requires_interior_points(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0]]}))
+        with pytest.raises(ValueError, match=r"point \[1.0, 0.0\] is not interior to the domain"):
+            load_point_set(path, UNIT_DISK)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -314,6 +331,27 @@ class TestFileFormat:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown shape"):
             domain_from_dict({"dim": 2, "shape": {"type": "torus"}})
+
+    def test_load_point_set_returns_the_checked_array(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [[0.1, -0.2], [-0.3, 0]]}))
+        p = load_point_set(path, UNIT_DISK)
+        assert isinstance(p, np.ndarray) and p.dtype == float
+        assert np.array_equal(p, [[0.1, -0.2], [-0.3, 0.0]])
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([], "dimension mismatch"),
+            ([[0.1, 0.2, 0.3]], "dimension mismatch"),
+            ([[0.1, float("nan")]], "finite coordinates"),
+        ],
+    )
+    def test_load_point_set_refusals(self, tmp_path, points, message):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": points}))
+        with pytest.raises(ValueError, match=message):
+            load_point_set(path, UNIT_DISK)
 
 
 class TestLattice:

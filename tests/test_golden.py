@@ -1,0 +1,68 @@
+"""Byte-identical CLI output on committed inputs.
+
+Each case runs one command in-process through `cli.main` on the inputs in
+tests/golden/ and compares the bytes of its output (stdout, or the file
+that `plot` writes) with the committed file of the same name, and checks
+that it wrote nothing to stderr.  The committed outputs were made by the
+code before the API clean-up that dropped the alias functions, `PointSet`
+and the bound `variant` argument, so any change to a report's bytes shows
+here.  To accept an intended change, rewrite a file from the new output
+and say in the change log which fields changed and why.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from harnack.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; paths are relative to GOLDEN, and "{out}" is a file the
+# command writes instead of stdout
+CASES = {
+    "sandwich_disk.json": ["sandwich", "--domain", "disk.json", "--pair=-0.4,0.1;0.5,-0.3"],
+    "sandwich_lpoly.json": ["sandwich", "--domain", "lpoly.json", "--pair=-0.5,-0.5;0.5,-0.6"],
+    "sandwich_union3.json": ["sandwich", "--domain", "union3.json", "--pair=-0.8,0.1;0.1,0.3"],
+    "sandwich_ball3d.json": [
+        "sandwich", "--domain", "ball3d.json", "--pair=0.3,0,0.2;-0.4,0.3,0", "--grid", "0.25",
+    ],
+    "set_eac_lpoly.json": [
+        "set", "eac", "--domain", "lpoly.json", "--set", "lpoly_set.json", "--grid", "0.1",
+    ],
+    "set_sep_disk.json": [
+        "set", "sep", "--domain", "disk.json", "--set", "disk_set.json", "--start=0,0", "--hops", "3",
+    ],
+    "set_bound_ball3d.json": [
+        "set", "bound", "--domain", "ball3d.json", "--set", "ball3d_set.json",
+        "--start=0,0,0", "--grid", "0.125",
+    ],
+    "plot_set_eac_lpoly.svg": [
+        "plot", "--domain", "lpoly.json", "set_eac_lpoly.json", "--out", "{out}",
+    ],
+}
+
+
+def run_case(name, tmp_dir) -> tuple[int, str, str]:
+    """(exit code, output, stderr) of one case; the output file of `plot`
+    goes to tmp_dir."""
+    out_file = Path(tmp_dir) / name
+    argv = [
+        str(out_file) if a == "{out}" else str(GOLDEN / a) if (GOLDEN / a).is_file() else a
+        for a in CASES[name]
+    ]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    text = out_file.read_text() if "{out}" in CASES[name] else stdout.getvalue()
+    return code, text, stderr.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, tmp_path):
+    code, text, err = run_case(name, tmp_path)
+    assert code == 0
+    assert err == ""
+    assert text.encode() == (GOLDEN / name).read_bytes()

@@ -16,7 +16,6 @@ PUBLIC = [
     "EacEstimate",
     "Lattice",
     "LowerBoundCertificate",
-    "PointSet",
     "Polygon2D",
     "SeparationResult",
     "UnionOfBalls",
@@ -24,14 +23,10 @@ PUBLIC = [
     "ball_harnack_two_points",
     "build_ball_chain",
     "chain_bound",
-    "contains",
     "diameter",
-    "disk_harnack_two_points",
-    "dist_to_complement",
     "eac_estimate",
     "eac_harnack_bound",
     "eac_hull_bound",
-    "enclosing_ball",
     "hull_clearance",
     "load_domain",
     "load_point_set",
@@ -48,23 +43,17 @@ GEOMETRY = [
     "Ball",
     "Box",
     "Lattice",
-    "PointSet",
     "Polygon2D",
     "UnionOfBalls",
-    "certified_segment_clearance",
     "certified_segment_clearances",
-    "contains",
     "diameter",
-    "dist_to_complement",
     "dump_domain",
     "dump_point_set",
-    "enclosing_ball",
     "hull_clearance",
     "lattice_half_offsets",
     "lattice_neighbors",
     "load_domain",
     "load_point_set",
-    "segment_samples",
 ]
 
 # each subcommand's option strings, or a positional's name, in parser order

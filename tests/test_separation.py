@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harnack import geometry, separation
-from harnack.exact import disk_harnack_two_points
+from harnack.exact import ball_harnack_two_points
 from harnack.geometry import Ball, Box, Lattice, Polygon2D, UnionOfBalls, lattice_neighbors
 from harnack.separation import (
     chain_bound,
@@ -40,18 +40,15 @@ class TestPairSeparation:
 
 class TestPairBound:
     def test_at_zero_separation(self):
-        assert pair_bound_from_q(0.0, 2, "stated") == 16.0
-        assert pair_bound_from_q(0.0, 2, "proof_sharp") == 9.0
+        assert pair_bound_from_q(0.0, 2) == (16.0, 9.0)
 
     def test_disk_pair_stated(self):
-        assert pair_bound(UNIT_DISK, (-0.4, 0), (0.4, 0), "stated") == pytest.approx(
-            144.0, rel=1e-12
-        )
+        stated, _ = pair_bound(UNIT_DISK, (-0.4, 0), (0.4, 0))
+        assert stated == pytest.approx(144.0, rel=1e-12)
 
     def test_disk_pair_proof_sharp(self):
-        assert pair_bound(
-            UNIT_DISK, (-0.4, 0), (0.4, 0), "proof_sharp"
-        ) == pytest.approx(121.0, rel=1e-12)
+        _, proof_sharp = pair_bound(UNIT_DISK, (-0.4, 0), (0.4, 0))
+        assert proof_sharp == pytest.approx(121.0, rel=1e-12)
 
     def test_separation_one_rejected(self):
         with pytest.raises(ValueError, match="single-link"):
@@ -59,20 +56,18 @@ class TestPairBound:
 
     def test_overflow_gives_infinity(self):
         q = 1.0 - 2.0**-52
-        assert pair_bound_from_q(q, 12, "stated") == math.inf
-        assert pair_bound_from_q(q, 12, "proof_sharp") == math.inf
+        assert pair_bound_from_q(q, 12) == (math.inf, math.inf)
 
     def test_proof_sharp_below_stated(self):
         for d in range(2, 7):
             for q in np.arange(0.0, 1.0, 0.01):
-                assert pair_bound_from_q(q, d, "proof_sharp") <= pair_bound_from_q(
-                    q, d, "stated"
-                )
+                stated, proof_sharp = pair_bound_from_q(q, d)
+                assert proof_sharp <= stated
 
     def test_strictly_increasing_in_q(self):
         qs = np.linspace(0, 0.99, 100)
         for d in (2, 3, 4):
-            vals = [pair_bound_from_q(q, d) for q in qs]
+            vals = [pair_bound_from_q(q, d)[0] for q in qs]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -356,10 +351,10 @@ class TestSetHarnackBound:
 class TestChainBound:
     def test_degenerate_chain(self):
         x = (0.2, 0.2)
-        assert chain_bound(UNIT_DISK, [x, x], "stated") == 16.0
+        assert chain_bound(UNIT_DISK, [x, x])[0] == 16.0
 
     def test_three_point_proof_sharp(self):
-        v = chain_bound(UNIT_DISK, [(-0.4, 0), (0, 0), (0.4, 0)], "proof_sharp")
+        _, v = chain_bound(UNIT_DISK, [(-0.4, 0), (0, 0), (0.4, 0)])
         assert v == pytest.approx((13.0 / 3.0) ** 4, rel=1e-12)
 
     def test_dominates_disk_oracle(self):
@@ -367,8 +362,8 @@ class TestChainBound:
         for _ in range(25):
             a, b = rng.uniform(-0.55, 0.55, size=(2, 2))
             chain = [a, 0.5 * (a + b) * 0.0, b]  # through the center
-            v = chain_bound(UNIT_DISK, chain, "proof_sharp")
-            assert v >= disk_harnack_two_points(a, b) - 1e-9
+            _, v = chain_bound(UNIT_DISK, chain)
+            assert v >= ball_harnack_two_points(a, b, UNIT_DISK.center, UNIT_DISK.radius) - 1e-9
 
     def test_bad_link_identified(self):
         with pytest.raises(ValueError, match="link 0"):
@@ -376,9 +371,7 @@ class TestChainBound:
 
     def test_one_clearance_call_and_the_pairwise_links(self, monkeypatch):
         chain = [(-0.6, 0.1), (-0.2, 0.3), (0.1, -0.2), (0.5, 0.0)]
-        want = math.prod(
-            pair_bound(UNIT_DISK, a, b, "proof_sharp") for a, b in zip(chain, chain[1:])
-        )
+        want = math.prod(pair_bound(UNIT_DISK, a, b)[1] for a, b in zip(chain, chain[1:]))
         calls = []
         clearance = Ball.clearance
 
@@ -387,7 +380,7 @@ class TestChainBound:
             return clearance(self, pts)
 
         monkeypatch.setattr(Ball, "clearance", counting)
-        assert chain_bound(UNIT_DISK, chain, "proof_sharp") == want
+        assert chain_bound(UNIT_DISK, chain)[1] == want
         assert len(calls) == 1
 
     def test_exterior_link_rejected(self):
@@ -405,6 +398,25 @@ class TestBetweenConditions:
         assert ok
         ok, report = verify_between_conditions(UNIT_DISK, [(-0.4, 0), (0.4, 0)], 0.6)
         assert not ok and report["first_violation"] == 0
+
+    @pytest.mark.parametrize("res", [0.0, -1.0, math.inf, math.nan])
+    def test_resolution_must_be_positive_and_finite(self, res):
+        for polyline in ([(0.2, 0.1)], [(-0.4, 0), (0, 0), (0.4, 0)]):
+            with pytest.raises(ValueError, match="resolution must be positive and finite"):
+                verify_between_conditions(UNIT_DISK, polyline, 0.5, res)
+
+    def test_one_clearance_call_for_all_segments(self, monkeypatch):
+        calls = []
+        clearance = Ball.clearance
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return clearance(self, pts)
+
+        monkeypatch.setattr(Ball, "clearance", counting)
+        ok, _ = verify_between_conditions(UNIT_DISK, [(-0.4, 0), (0, 0), (0.4, 0), (0.4, 0.3)], 0.5)
+        assert ok
+        assert len(calls) == 2  # the points, then every segment's samples
 
     def test_three_point_chain_passes(self):
         ok, _ = verify_between_conditions(
