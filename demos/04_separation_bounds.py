@@ -56,7 +56,7 @@ def main():
     val, poly = res.per_target[0]
     print(f"minimax solver, 2 hops on a 0.05 grid:")
     print(f"  best worst-link separation {val:.4f} via {np.round(poly, 3).tolist()}")
-    print(f"  resulting set bound: {set_harnack_bound(res, 2, 2):.4f}")
+    print(f"  resulting set bound: {set_harnack_bound(res.value, 2, 2):.4f}")
 
     print()
     print("More hops never hurt (one lattice serves every query):")

@@ -45,7 +45,7 @@ def main():
         pts = np.array([[-0.5, 0.0], [0.5, 0.0]])
         est = eac_estimate(Lattice(disk, 0.05), pts)
         chain = build_ball_chain(disk, pts[0], pts[1], est.value + 0.1, est)
-        doc = render_svg(disk, point_sets=[pts], chains=[chain])
+        doc = render_svg(disk, point_sets=[pts], chains=[(chain.centers, chain.radius)])
         out = Path("sandwich_demo.svg")
         out.write_text(doc)
         print(f"wrote {out.resolve()} ({len(doc)} bytes, {doc.count('<circle')} circles)")

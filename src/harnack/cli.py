@@ -75,12 +75,7 @@ def _grid_step(args, domain) -> float:
 def cmd_sandwich(args) -> int:
     domain = geometry.load_domain(args.domain)
     x, y = _parse_pair(args.pair)
-    # each point's clearance, evaluated once for interiority, q and the pair bounds
-    clear = []
-    for p in (x, y):
-        clear.append(float(domain.clearance(p)[0]))
-        if not clear[-1] > 0.0:
-            raise ValueError(f"point {p.tolist()} is not interior to the domain")
+    q = separation.pair_separation(domain, x, y)  # refuses points not interior to the domain
     grid = _grid_step(args, domain)
     hops = args.hops
     if hops < 1:  # refused in any d, also where the grid bounds are inapplicable
@@ -90,7 +85,6 @@ def cmd_sandwich(args) -> int:
     inapplicable: dict[str, str] = {}
 
     # pair bound, both forms
-    q = separation.separation_from_clearances(x, y, *clear)
     if q < 1.0:
         uppers["pair_stated"], uppers["pair_proof_sharp"] = separation.pair_bound_from_q(
             q, domain.dim
@@ -116,7 +110,7 @@ def cmd_sandwich(args) -> int:
         result = separation.set_separation(lattice, x, np.vstack([y]), hops)
         witness = result.per_target[0][1]
         if result.value < 1.0 and witness is not None:
-            uppers["set_hop"] = separation.set_harnack_bound(result, hops, domain.dim)
+            uppers["set_hop"] = separation.set_harnack_bound(result.value, hops, domain.dim)
             uppers["chain_stated"], uppers["chain_proof_sharp"] = separation.chain_bound(
                 domain, witness
             )
@@ -229,7 +223,7 @@ def cmd_set(args) -> int:
         report["sep"] = sep_payload
         if result.value < 1.0:
             report["sep_harnack_bound"] = _fmt(
-                separation.set_harnack_bound(result, args.hops, domain.dim)
+                separation.set_harnack_bound(result.value, args.hops, domain.dim)
             )
         else:
             report["sep_harnack_bound"] = None

@@ -31,6 +31,7 @@ from .geometry import (
     certified_segment_clearances,
     diameter,
     hull_clearance,
+    interior_clearances,
     lattice_half_offsets,
     lattice_neighbors,
     points_array,
@@ -99,8 +100,6 @@ def eac_hull_bound(domain: Domain, pts, resolution: float | None = None) -> floa
     """diameter(S) / certified clearance of the segmental hull of S; +inf when
     the hull does not certify inside the domain; 0 for singletons."""
     p = points_array(pts, domain)
-    if p.shape[0] == 0:
-        raise ValueError("empty point set")
     if p.shape[0] == 1:
         return 0.0
     clear = hull_clearance(domain, p, resolution)
@@ -164,12 +163,7 @@ def eac_estimate(lattice: Lattice, pts, clearance_levels=None) -> EacEstimate:
     calls (certified_segment_clearances).
     """
     domain, grid_step = lattice.domain, lattice.step
-    p = points_array(pts, domain)
-    if p.shape[0] == 0:
-        raise ValueError("empty point set")
-    clear_p = domain.clearance(p)
-    if not np.all(clear_p > 0):
-        raise ValueError("all points must be interior to the domain")
+    p, clear_p = interior_clearances(domain, pts)
 
     levels = (
         np.asarray(clearance_levels, dtype=float)
@@ -264,10 +258,8 @@ def build_ball_chain(domain: Domain, x, y, C: float, estimate: EacEstimate) -> B
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.array_equal(x, y):
-        r = float(domain.clearance(x)[0])
-        if r <= 0:
-            raise ValueError("point must be interior")
-        return BallChain(np.vstack([x, x]), r)
+        _, clear = interior_clearances(domain, x)
+        return BallChain(np.vstack([x, x]), float(clear[0]))
     rec = estimate.pair_record(x, y)
     if not math.isfinite(rec.ratio):
         raise ValueError("pair has no certified witness polyline")

@@ -24,6 +24,7 @@ __all__ = [
     "UnionOfBalls",
     "diameter",
     "hull_clearance",
+    "interior_clearances",
     "load_domain",
     "dump_domain",
     "load_point_set",
@@ -336,12 +337,26 @@ class UnionOfBalls(Domain):
 
 
 def points_array(pts, domain: Domain | None = None) -> np.ndarray:
-    """Coordinates as a finite (n, d) float array, of the domain's dimension
-    when a domain is given."""
+    """Coordinates as a nonempty finite (n, d) float array, of the domain's
+    dimension when a domain is given."""
+    if np.size(pts) == 0:  # before the coercion turns [] into a (1, 0) array
+        raise ValueError("point set must be nonempty")
     p = _as_points(pts)
     if domain is not None:
         _check_dim(domain, p)
     return p
+
+
+def interior_clearances(domain: Domain, pts) -> tuple[np.ndarray, np.ndarray]:
+    """The points as a checked (n, d) array (see points_array) and their
+    clearances, from one clearance call; refuses the first point that is
+    not interior to the domain."""
+    p = points_array(pts, domain)
+    clear = domain.clearance(p)
+    if not np.all(clear > 0):
+        bad = p[int(np.argmin(clear))]
+        raise ValueError(f"point {bad.tolist()} is not interior to the domain")
+    return p, clear
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +366,6 @@ def points_array(pts, domain: Domain | None = None) -> np.ndarray:
 def diameter(pts) -> float:
     """Max pairwise Euclidean distance; 0 for a singleton."""
     p = points_array(pts)
-    if p.shape[0] == 0:
-        raise ValueError("diameter of an empty set")
     if p.shape[0] == 1:
         return 0.0
     d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
@@ -365,7 +378,9 @@ def _subdivisions(length: float, resolution: float) -> int:
     return 1 << max(0, math.ceil(math.log2(length / resolution)))
 
 
-SEGMENT_BATCH_SAMPLES = 1 << 18  # bounds the samples, and so the memory, of one clearance call
+# most samples of one segment; a batch closes once it holds as many, so one
+# clearance call takes fewer than twice as many
+SEGMENT_BATCH_SAMPLES = 1 << 18
 
 
 def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray:
@@ -381,7 +396,8 @@ def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray
     is 1-Lipschitz), and no less than 0.  A zero-length segment gets the
     clearance of its point.  The call is split once a batch holds
     SEGMENT_BATCH_SAMPLES samples, so that many long segments do not make
-    one huge array.
+    one huge array, and a segment that alone needs more samples is refused
+    before its samples are made.
     """
     res = np.asarray(resolution, dtype=float)
     if not np.all(np.isfinite(res) & (res > 0)):
@@ -394,6 +410,11 @@ def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray
         # the row-wise norm of a matrix rounds differently in the last bit
         length = math.sqrt(v.dot(v))
         n = _subdivisions(length, r) if length > 0.0 else 1  # 0-length: spacing 0
+        if n + 1 > SEGMENT_BATCH_SAMPLES:
+            raise ValueError(
+                f"segment of length {length:g} at resolution {r:g} needs {n + 1} samples, "
+                f"more than the {SEGMENT_BATCH_SAMPLES} of one clearance call"
+            )
         # i * (v / n) rounds as linspace's (i / n) * v: both quotients are
         # exact, n being a power of two.  Coordinates run along rows here,
         # which is faster than broadcasting over rows of length d.
@@ -422,8 +443,6 @@ def hull_clearance(domain: Domain, pts, resolution: float | None = None) -> floa
     diam(S) over this bound bounds the entropy of linear connectivity.
     """
     p = points_array(pts, domain)
-    if p.shape[0] == 0:
-        raise ValueError("hull of an empty set")
     if resolution is None:
         resolution = 1e-3 * domain.bounding_diameter()
     # Each point starts a segment, whose certificate is at most the clearance
@@ -609,17 +628,7 @@ def load_point_set(path, domain: Domain) -> np.ndarray:
     """The points of a point-set file as an (n, d) array: nonempty, of the
     domain's dimension, finite and interior to the domain."""
 
-    def parse(data):
-        p = points_array(data["points"], domain)
-        if p.shape[0] == 0:
-            raise ValueError("point set must be nonempty")
-        clear = domain.clearance(p)
-        if not np.all(clear > 0):
-            bad = int(np.argmin(clear))
-            raise ValueError(f"point {p[bad].tolist()} is not interior to the domain")
-        return p
-
-    return _load(path, "point-set", parse)
+    return _load(path, "point-set", lambda data: interior_clearances(domain, data["points"])[0])
 
 
 def dump_point_set(pts, path) -> None:

@@ -21,6 +21,7 @@ from .geometry import (
     Domain,
     Lattice,
     certified_segment_clearances,
+    interior_clearances,
     lattice_half_offsets,
     lattice_neighbors,
     points_array,
@@ -38,18 +39,19 @@ __all__ = [
 ]
 
 
+def _links(domain: Domain, points) -> tuple[np.ndarray, list[float]]:
+    """The points, checked interior from one clearance call, and the
+    separation |p_k - p_k+1| / (c_k + c_k+1) of each consecutive link."""
+    p, clear = interior_clearances(domain, points)
+    c = clear.tolist()
+    # sqrt(v . v) rounds as the norm of one vector, np.linalg.norm(v);
+    # the row-wise norm of a matrix rounds differently in the last bit
+    return p, [math.sqrt(v.dot(v)) / (a + b) for v, a, b in zip(np.diff(p, axis=0), c, c[1:])]
+
+
 def pair_separation(domain: Domain, x, y) -> float:
     """|x - y| / (clearance(x) + clearance(y)); 0 for coincident points."""
-    cx, cy = (float(domain.clearance(p)[0]) for p in (x, y))
-    return separation_from_clearances(x, y, cx, cy)
-
-
-def separation_from_clearances(x, y, cx: float, cy: float) -> float:
-    """pair_separation of x and y, given their clearances cx and cy."""
-    if cx <= 0 or cy <= 0:
-        raise ValueError("both points must be interior to the domain")
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(np.linalg.norm(diff)) / (cx + cy)
+    return _links(domain, np.vstack([points_array(p, domain) for p in (x, y)]))[1][0]
 
 
 def pair_bound(domain: Domain, x, y) -> tuple[float, float]:
@@ -85,12 +87,10 @@ def pair_bound_from_q(q: float, dim: int) -> tuple[float, float]:
 
 def sequence_separation(domain: Domain, points) -> float:
     """Max pair separation over consecutive points of a sequence."""
-    p = points_array(points, domain)
-    if p.shape[0] < 2:
+    _, links = _links(domain, points)
+    if not links:
         raise ValueError("sequence needs at least 2 points")
-    return max(
-        pair_separation(domain, p[k - 1], p[k]) for k in range(1, p.shape[0])
-    )
+    return max(links)
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,11 @@ def set_separation(
     if hops < 1:
         raise ValueError("hops must be >= 1")
     nodes, clear, domain = lattice.nodes, lattice.clear, lattice.domain
-    start = np.asarray(start, dtype=float)
+    (start,) = points_array(start, domain)
     targets = points_array(targets, domain)
+    extra, c_extra = interior_clearances(domain, np.vstack([start, targets]))
     n_grid = nodes.shape[0]
-    pts = np.vstack([nodes, start[None, :], targets])
-    extra = pts[n_grid:]
-    c_extra = domain.clearance(extra)
-    if np.any(c_extra <= 0):
-        raise ValueError("start and targets must be interior to the domain")
+    pts = np.vstack([nodes, extra])
     n = pts.shape[0]
 
     # start/targets to grid nodes, as an (m+1, N) array
@@ -217,10 +214,9 @@ def set_separation(
     return SeparationResult(value, per_target, hops, lattice.step)
 
 
-def set_harnack_bound(result, hops: int, dim: int) -> float:
+def set_harnack_bound(q: float, hops: int, dim: int) -> float:
     """2^(2dl) / (1 - q)^((d-1)l) with q the (over-estimated) set separation;
     +inf where the value is beyond the float range."""
-    q = result.value if isinstance(result, SeparationResult) else float(result)
     if not q < 1.0:
         raise ValueError("separation condition violated: sep >= 1")
     if q < 0 or hops < 1 or dim < 2:
@@ -235,15 +231,13 @@ def chain_bound(domain: Domain, points) -> tuple[float, float]:
     """Products (stated, proof_sharp) of the pair bounds along a chain: upper
     bounds on the Harnack distance between the first and last point
     (multiplicative triangle)."""
-    p = points_array(points, domain)
-    if p.shape[0] < 2:
+    _, links = _links(domain, points)
+    if not links:
         raise ValueError("chain needs at least 2 points")
-    clear = domain.clearance(p).tolist()
     stated = proof_sharp = 1.0
-    for k in range(1, p.shape[0]):
-        q = separation_from_clearances(p[k - 1], p[k], clear[k - 1], clear[k])
+    for k, q in enumerate(links):
         if not q < 1.0:
-            raise ValueError(f"chain link {k - 1} has separation {q} >= 1")
+            raise ValueError(f"chain link {k} has separation {q} >= 1")
         link_stated, link_sharp = pair_bound_from_q(q, domain.dim)
         stated, proof_sharp = stated * link_stated, proof_sharp * link_sharp
     return stated, proof_sharp
@@ -255,21 +249,18 @@ def verify_between_conditions(
     """Check the two-parameter chain conditions for a polyline at level q.
 
     Each link must satisfy |x_k - x_{k+1}| <= q * (r_k + r_{k+1}) with r_k
-    the clearance at x_k; additionally each segment must certify inside the
+    the clearance at x_k, that is a link separation of at most q (up to
+    1e-15 for rounding); additionally each segment must certify inside the
     domain (the clearance balls are inside by definition of clearance).
     Returns (passed, report) with the first violated link, if any.
     """
-    p = points_array(polyline, domain)
-    clear = domain.clearance(p)
-    if not np.all(clear > 0):
-        raise ValueError("polyline points must be interior to the domain")
+    p, links = _links(domain, polyline)
     if resolution is None:
         resolution = 1e-3 * domain.bounding_diameter()
     cert = certified_segment_clearances(domain, p[:-1], p[1:], resolution)
     report = {"links": p.shape[0] - 1, "first_violation": None, "reason": None}
-    for k in range(p.shape[0] - 1):
-        gap = float(np.linalg.norm(p[k + 1] - p[k]))
-        if gap > q * (clear[k] + clear[k + 1]) + 1e-15:
+    for k, link in enumerate(links):
+        if link > q + 1e-15:
             report["first_violation"] = k
             report["reason"] = "link separation exceeds q"
             return False, report

@@ -85,11 +85,7 @@ def render_svg(
         f'viewBox="0 0 {_fmt(m.width)} {_fmt(m.height)}">',
     ]
     parts.extend(_domain_elements(domain, m))
-    for chain in chains or []:
-        if hasattr(chain, "centers"):
-            centers, radius = chain.centers, chain.radius
-        else:
-            centers, radius = chain
+    for centers, radius in chains or []:
         for c in np.asarray(centers, dtype=float):
             cx, cy = m.xy(c)
             parts.append(

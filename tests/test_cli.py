@@ -194,8 +194,9 @@ class TestSandwich:
         code, out = run(capsys, ["sandwich", "--domain", str(poly), "--pair=-0.5,-0.5;0.5,-0.6"])
         assert code == 0
         assert "chain_proof_sharp" in json.loads(out)["uppers"]
-        # x 1, y 1, hull bound 1, lattice 1, solve 1, chain 1, lower bound 1
-        assert len(calls) == 7
+        # x and y for the pair separation 1, hull bound 1, lattice 1,
+        # start and target of the solve 1, chain witness 1, lower bound 1
+        assert len(calls) == 6
 
     def test_4d_ball_refuses_hops_below_one(self, capsys, tmp_path):
         ball = tmp_path / "ball4.json"
@@ -203,6 +204,31 @@ class TestSandwich:
         argv = ["sandwich", "--domain", str(ball), "--pair=0.1,0,0,0;-0.3,0.2,0,0", "--hops", "0"]
         assert main(argv) == 2
         assert "hops must be >= 1" in capsys.readouterr().err
+
+
+class TestPointInputGate:
+    """Each fault of point input exits 2 with its one message, whichever
+    command meets it."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["set", "eac", "--set", "{empty}"], "point set must be nonempty"),
+            (["set", "sep", "--set", "{pair}", "--start=0,0,0"],
+             "dimension mismatch: point has d=3, domain has d=2"),
+            (["set", "sep", "--set", "{pair}", "--start=2,0"],
+             "point [2.0, 0.0] is not interior to the domain"),
+            (["sandwich", "--pair=0,0;0,2"], "point [0.0, 2.0] is not interior to the domain"),
+            (["sandwich", "--pair=0,0,0;0.1,0"], "dimension mismatch: point has d=3, domain has d=2"),
+        ],
+        ids=["empty-set", "start-dimension", "exterior-start", "exterior-pair", "pair-dimension"],
+    )
+    def test_refusal(self, capsys, tmp_path, disk_file, pair_file, argv, message):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"points": []}))
+        argv = [a.format(empty=empty, pair=pair_file) for a in argv]
+        assert main(argv[:2] + ["--domain", disk_file] + argv[2:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestParser:

@@ -175,6 +175,18 @@ class TestSegmentClearances:
         with pytest.raises(ValueError, match="resolution must be positive and finite"):
             certified_segment_clearances(UNIT_DISK, a, b, [0.01, res])
 
+    def test_oversized_segment_refused_before_any_clearance_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Ball, "clearance", lambda self, p: calls.append(len(p)))
+        a, b = np.zeros((1, 2)), np.array([[0.5, 0.0]])
+        # 2^18 pieces make 2^18 + 1 samples, one more than the cap
+        with pytest.raises(ValueError, match="needs 262145 samples, more than the 262144"):
+            certified_segment_clearances(UNIT_DISK, a, b, 0.5 / 2**18)
+        assert calls == []
+        monkeypatch.undo()
+        # 2^17 pieces fit
+        assert certified_segment_clearances(UNIT_DISK, a, b, 0.5 / 2**17)[0] > 0.49
+
     def test_large_batches_are_split(self, monkeypatch):
         a = interior_points(UNIT_DISK, 20, seed=1)
         b = interior_points(UNIT_DISK, 20, seed=2)
@@ -187,10 +199,12 @@ class TestSegmentClearances:
             return clearance(self, p)
 
         monkeypatch.setattr(Ball, "clearance", counting_clearance)
-        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 100)
+        # a segment of more samples than the cap is refused, so the cap is
+        # at least the 129 samples of the longest disk segment
+        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 129)
         got = certified_segment_clearances(UNIT_DISK, a, b, 0.02)
-        # a batch closes at 100 samples; one disk segment has at most 129
-        assert len(calls) > 1 and max(calls) < 100 + 129
+        # a batch closes at 129 samples; one disk segment has at most 129
+        assert len(calls) > 1 and max(calls) < 129 + 129
         assert np.array_equal(got, want)
 
 
@@ -306,6 +320,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"point \[1.0, 0.0\] is not interior to the domain"):
             load_point_set(path, UNIT_DISK)
 
+    def test_interior_clearances_refuses_the_first_exterior_point(self):
+        p, clear = geometry.interior_clearances(UNIT_DISK, [[0.5, 0.0], [0.0, -0.25]])
+        assert np.array_equal(p, [[0.5, 0.0], [0.0, -0.25]])
+        assert np.array_equal(clear, [0.5, 0.75])
+        with pytest.raises(ValueError, match=r"point \[0.0, 1.0\] is not interior"):
+            geometry.interior_clearances(UNIT_DISK, [[0.5, 0.0], [0.0, 1.0], [2.0, 0.0]])
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
@@ -342,7 +363,7 @@ class TestFileFormat:
     @pytest.mark.parametrize(
         "points,message",
         [
-            ([], "dimension mismatch"),
+            ([], "point set must be nonempty"),
             ([[0.1, 0.2, 0.3]], "dimension mismatch"),
             ([[0.1, float("nan")]], "finite coordinates"),
         ],

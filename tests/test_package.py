@@ -50,6 +50,7 @@ GEOMETRY = [
     "dump_domain",
     "dump_point_set",
     "hull_clearance",
+    "interior_clearances",
     "lattice_half_offsets",
     "lattice_neighbors",
     "load_domain",

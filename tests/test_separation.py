@@ -38,6 +38,28 @@ class TestPairSeparation:
             pair_separation(UNIT_DISK, (0, 0), (1, 0))
 
 
+class TestOneClearanceCall:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        clearance = Ball.clearance
+
+        def counting(self, pts):
+            calls.append(1)
+            return clearance(self, pts)
+
+        monkeypatch.setattr(Ball, "clearance", counting)
+        return calls
+
+    def test_pair_separation(self, calls):
+        assert pair_separation(UNIT_DISK, (-0.4, 0), (0.4, 0)) == pytest.approx(2 / 3)
+        assert len(calls) == 1
+
+    def test_sequence_separation(self, calls):
+        assert sequence_separation(UNIT_DISK, [(-0.4, 0), (0, 0), (0.4, 0)]) == 0.25
+        assert len(calls) == 1
+
+
 class TestPairBound:
     def test_at_zero_separation(self):
         assert pair_bound_from_q(0.0, 2) == (16.0, 9.0)
@@ -162,8 +184,12 @@ class TestSetSeparation:
         ids=["start", "target"],
     )
     def test_exterior_points_rejected_by_the_solve(self, start, targets):
-        with pytest.raises(ValueError, match="start and targets must be interior"):
+        with pytest.raises(ValueError, match="is not interior to the domain"):
             set_separation(Lattice(UNIT_DISK, 0.1), np.array(start), np.array(targets), 2)
+
+    def test_zero_targets_refused(self):
+        with pytest.raises(ValueError, match="point set must be nonempty"):
+            set_separation(Lattice(UNIT_DISK, 0.1), np.array([0.0, 0.0]), np.zeros((0, 2)), 2)
 
     def test_lattice_without_nodes_still_solves_three_hops(self):
         lattice = Lattice(Ball([0.05, 0.05], 0.04), 0.1)
