@@ -107,7 +107,7 @@ def cmd_sandwich(args) -> int:
         for name in ("set_hop", "chain_stated", "chain_proof_sharp"):
             inapplicable[name] = f"grid solver refuses d={domain.dim} > 3"
     else:
-        result = separation.set_separation(lattice, x, np.vstack([y]), hops)
+        result = separation.set_separation(lattice, x, y, hops)
         witness = result.per_target[0][1]
         if result.value < 1.0 and witness is not None:
             uppers["set_hop"] = separation.set_harnack_bound(result.value, hops, domain.dim)

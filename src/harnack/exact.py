@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Domain, interior_clearances, points_array
+from .geometry import Ball, Domain, interior_clearances
 
 __all__ = [
     "LowerBoundCertificate",
@@ -125,7 +125,7 @@ def poisson_witness_lower_bound(domain: Domain, x, y) -> LowerBoundCertificate:
     domain, of the domain itself.  Each counts with the smaller of its closed
     form and the kernel ratio at its boundary point zeta, so the witness
     {center, radius, zeta} re-evaluates to at least the value."""
-    (x, y), _ = interior_clearances(domain, np.vstack([points_array(p, domain) for p in (x, y)]))
+    (x, y), _ = interior_clearances(domain, x, y)
     balls = [(c, domain.enclosing_radius(c)) for c in (x, y, 0.5 * (x + y))]
     if isinstance(domain, Ball):
         balls.append((domain.center, domain.radius))

@@ -347,11 +347,11 @@ def points_array(pts, domain: Domain | None = None) -> np.ndarray:
     return p
 
 
-def interior_clearances(domain: Domain, pts) -> tuple[np.ndarray, np.ndarray]:
-    """The points as a checked (n, d) array (see points_array) and their
-    clearances, from one clearance call; refuses the first point that is
-    not interior to the domain."""
-    p = points_array(pts, domain)
+def interior_clearances(domain: Domain, *parts) -> tuple[np.ndarray, np.ndarray]:
+    """The parts (points or point sets, each checked by points_array) stacked
+    into one (n, d) array, and their clearances from one clearance call;
+    refuses the first point that is not interior to the domain."""
+    p = np.vstack([points_array(part, domain) for part in parts])
     clear = domain.clearance(p)
     if not np.all(clear > 0):
         bad = p[int(np.argmin(clear))]
@@ -378,15 +378,18 @@ def _subdivisions(length: float, resolution: float) -> int:
     return 1 << max(0, math.ceil(math.log2(length / resolution)))
 
 
-# most samples of one segment; a batch closes once it holds as many, so one
-# clearance call takes fewer than twice as many
+# most samples of one clearance call: a batch closes once it holds as many,
+# so one call takes fewer than twice as many
 SEGMENT_BATCH_SAMPLES = 1 << 18
+# most samples of one segment: a lattice with a candidate on every axis spans
+# at most LATTICE_BUDGET + 2 steps along its box's diagonal, so the h/10
+# segments of eac_estimate take at most 2^26 + 1 samples, hull segments 1025
+SEGMENT_MAX_SAMPLES = 1 << 28
 
 
 def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray:
     """Certified lower bounds on the least clearance along each segment
-    [a[k], b[k]] of two (k, d) point arrays, from one clearance call over
-    all their samples; an empty array for k = 0.
+    [a[k], b[k]] of two (k, d) point arrays; an empty array for k = 0.
 
     resolution is a positive finite scalar or one such value per segment.
     A segment of length L is cut into the least power of two n of pieces no
@@ -394,42 +397,45 @@ def certified_segment_clearances(domain: Domain, a, b, resolution) -> np.ndarray
     samples and the certificates are monotone; its certificate is the least
     clearance at the n + 1 ends of the pieces minus L / (2n) (the clearance
     is 1-Lipschitz), and no less than 0.  A zero-length segment gets the
-    clearance of its point.  The call is split once a batch holds
-    SEGMENT_BATCH_SAMPLES samples, so that many long segments do not make
-    one huge array, and a segment that alone needs more samples is refused
-    before its samples are made.
+    clearance of its point.  Samples are made in runs of at most
+    SEGMENT_BATCH_SAMPLES, batched into one clearance call until a batch
+    holds as many, so memory stays bounded however long a segment; one of
+    more than SEGMENT_MAX_SAMPLES samples is refused before any call.
     """
     res = np.asarray(resolution, dtype=float)
     if not np.all(np.isfinite(res) & (res > 0)):
         raise ValueError("resolution must be positive and finite")
     a = np.asarray(a, dtype=float)
     diff = np.asarray(b, dtype=float) - a
-    low, spacing, batch, starts, size = [np.zeros(0)], [], [], [], 0  # k = 0: no batch
+    runs, spacing, first, per_call = [], [], [], SEGMENT_BATCH_SAMPLES
     for p, v, r in zip(a, diff, np.full(len(a), res).tolist()):
         # sqrt(v . v) rounds as the norm of one vector, np.linalg.norm(v);
         # the row-wise norm of a matrix rounds differently in the last bit
         length = math.sqrt(v.dot(v))
         n = _subdivisions(length, r) if length > 0.0 else 1  # 0-length: spacing 0
-        if n + 1 > SEGMENT_BATCH_SAMPLES:
-            raise ValueError(
-                f"segment of length {length:g} at resolution {r:g} needs {n + 1} samples, "
-                f"more than the {SEGMENT_BATCH_SAMPLES} of one clearance call"
-            )
+        if n + 1 > SEGMENT_MAX_SAMPLES:
+            raise ValueError(f"segment needs {n + 1} samples, more than {SEGMENT_MAX_SAMPLES}")
+        spacing.append(length / n)
+        first.append(len(runs))
+        runs += [(p, v / n, lo, min(lo + per_call, n + 1)) for lo in range(0, n + 1, per_call)]
+    low, batch, starts, size = [np.zeros(0)], [], [], 0  # k = 0: no batch
+    for k, (p, step, lo, hi) in enumerate(runs):
         # i * (v / n) rounds as linspace's (i / n) * v: both quotients are
         # exact, n being a power of two.  Coordinates run along rows here,
         # which is faster than broadcasting over rows of length d.
-        batch.append(p[:, None] + (v / n)[:, None] * np.arange(n + 1.0))
-        spacing.append(length / n)
+        batch.append(p[:, None] + step[:, None] * np.arange(lo, hi, dtype=float))
         starts.append(size)
-        size += n + 1
-        if size >= SEGMENT_BATCH_SAMPLES or len(spacing) == len(a):
+        size += hi - lo
+        if size >= per_call or k == len(runs) - 1:
             # in C order, the layout of one segment's (n + 1, d) samples, so
             # that each shape's clearance arithmetic (BLAS products included)
             # rounds as it does on them alone
             samples = np.concatenate(batch, axis=1).T.copy()
             low.append(np.minimum.reduceat(domain.clearance(samples), starts))
             batch, starts, size = [], [], 0
-    return np.maximum(0.0, np.concatenate(low) - np.array(spacing) / 2.0)
+    # a segment's least sample is the least over its runs
+    least = np.minimum.reduceat(np.concatenate(low), first)
+    return np.maximum(0.0, least - np.array(spacing) / 2.0)
 
 
 def hull_clearance(domain: Domain, pts, resolution: float | None = None) -> float:

@@ -39,10 +39,10 @@ __all__ = [
 ]
 
 
-def _links(domain: Domain, points) -> tuple[np.ndarray, list[float]]:
-    """The points, checked interior from one clearance call, and the
-    separation |p_k - p_k+1| / (c_k + c_k+1) of each consecutive link."""
-    p, clear = interior_clearances(domain, points)
+def _links(domain: Domain, *parts) -> tuple[np.ndarray, list[float]]:
+    """The stacked parts, checked interior from one clearance call (see
+    interior_clearances), and each link's q = |p_k - p_k+1| / (c_k + c_k+1)."""
+    p, clear = interior_clearances(domain, *parts)
     c = clear.tolist()
     # sqrt(v . v) rounds as the norm of one vector, np.linalg.norm(v);
     # the row-wise norm of a matrix rounds differently in the last bit
@@ -51,7 +51,7 @@ def _links(domain: Domain, points) -> tuple[np.ndarray, list[float]]:
 
 def pair_separation(domain: Domain, x, y) -> float:
     """|x - y| / (clearance(x) + clearance(y)); 0 for coincident points."""
-    return _links(domain, np.vstack([points_array(p, domain) for p in (x, y)]))[1][0]
+    return _links(domain, x, y)[1][0]
 
 
 def pair_bound(domain: Domain, x, y) -> tuple[float, float]:
@@ -158,9 +158,9 @@ def set_separation(
     if hops < 1:
         raise ValueError("hops must be >= 1")
     nodes, clear, domain = lattice.nodes, lattice.clear, lattice.domain
-    (start,) = points_array(start, domain)
-    targets = points_array(targets, domain)
-    extra, c_extra = interior_clearances(domain, np.vstack([start, targets]))
+    if points_array(start, domain).shape[0] != 1:
+        raise ValueError("start must be one point")
+    extra, c_extra = interior_clearances(domain, start, targets)
     n_grid = nodes.shape[0]
     pts = np.vstack([nodes, extra])
     n = pts.shape[0]
@@ -198,7 +198,7 @@ def set_separation(
         hit = np.minimum.reduceat(np.where(val == f[dst], edge, src.size), first)
         preds.append(src[hit])
     per_target = {}
-    for t in range(targets.shape[0]):
+    for t in range(extra.shape[0] - 1):
         idx = n_grid + 1 + t
         val = float(f[idx])
         path = [idx]
@@ -248,9 +248,9 @@ def verify_between_conditions(
 ) -> tuple[bool, dict]:
     """Check the two-parameter chain conditions for a polyline at level q.
 
-    Each link must satisfy |x_k - x_{k+1}| <= q * (r_k + r_{k+1}) with r_k
-    the clearance at x_k, that is a link separation of at most q (up to
-    1e-15 for rounding); additionally each segment must certify inside the
+    Each link's separation |x_k - x_{k+1}| / (r_k + r_{k+1}), with r_k the
+    clearance at x_k, must be at most q + 1e-15 (a tolerance on q, the same
+    at any scale of the domain); each segment must also certify inside the
     domain (the clearance balls are inside by definition of clearance).
     Returns (passed, report) with the first violated link, if any.
     """

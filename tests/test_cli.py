@@ -334,6 +334,19 @@ class TestSet:
         assert 2.0 <= report["eac"]["value"] <= 2.1
         assert report["eac_harnack_bound"]["sharp"] > 1.0
 
+    def test_eac_in_a_long_thin_box(self, capsys, monkeypatch, tmp_path):
+        # 84,003 lattice candidates; the straight segment at h/10 takes
+        # 2^19 + 1 samples, cut into runs of SEGMENT_BATCH_SAMPLES
+        dom, pts = tmp_path / "corridor.json", tmp_path / "ends.json"
+        dom.write_text(json.dumps({"dim": 2, "shape": {"type": "box", "min": [0, 0], "max": [140, 0.01]}}))
+        pts.write_text(json.dumps({"points": [[1, 0.005], [139, 0.005]]}))
+        argv = ["set", "eac", "--domain", str(dom), "--set", str(pts), "--grid", "0.005"]
+        code, out = run(capsys, argv)
+        assert code == 0 and math.isfinite(json.loads(out)["eac"]["value"])
+        # the same report as from one run of all the segment's samples
+        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 1 << 20)
+        assert run(capsys, argv) == (0, out)
+
     def test_eac_finite_for_points_near_the_boundary(self, capsys, union3_file, tmp_path):
         # every point within 1.25 grid steps of the boundary: the clearance
         # levels once started at the grid step and left this set null

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import entropy, geometry
+from harnack import entropy, geometry, separation
 from harnack.geometry import (
     Ball,
     Box,
@@ -177,15 +177,39 @@ class TestSegmentClearances:
 
     def test_oversized_segment_refused_before_any_clearance_call(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(Ball, "clearance", lambda self, p: calls.append(len(p)))
-        a, b = np.zeros((1, 2)), np.array([[0.5, 0.0]])
-        # 2^18 pieces make 2^18 + 1 samples, one more than the cap
-        with pytest.raises(ValueError, match="needs 262145 samples, more than the 262144"):
-            certified_segment_clearances(UNIT_DISK, a, b, 0.5 / 2**18)
-        assert calls == []
-        monkeypatch.undo()
-        # 2^17 pieces fit
-        assert certified_segment_clearances(UNIT_DISK, a, b, 0.5 / 2**17)[0] > 0.49
+        clearance = Ball.clearance
+
+        def recording_clearance(self, p):
+            calls.append(len(p))
+            assert len(p) <= 2, "segment samples reached the clearance"
+            return clearance(self, p)
+
+        monkeypatch.setattr(Ball, "clearance", recording_clearance)
+        # the short first segment fits; the second needs 2^28 + 1 samples,
+        # one more than the cap, and 2^29 + 1 at resolution 1e-9
+        a, b = np.zeros((2, 2)), np.array([[0.1, 0.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="^segment needs 268435457 samples, more than 268435456$"):
+            certified_segment_clearances(UNIT_DISK, a, b, [0.01, 0.5 / 2**28])
+        with pytest.raises(ValueError, match="needs 536870913 samples"):
+            separation.verify_between_conditions(UNIT_DISK, [[0, 0], [0.5, 0]], 0.9, 1e-9)
+        assert calls == [2]  # the polyline's points, not a segment sample
+
+    def test_long_segment_is_cut_into_runs(self, monkeypatch):
+        a = np.array([[-0.4, 0.1], [0.0, 0.0], [0.5, 0.5]])
+        b = np.array([[0.6, -0.2], [0.0, 0.0], [0.0, 0.5]])
+        want = certified_segment_clearances(UNIT_DISK, a, b, 1e-3)
+        calls = []
+        clearance = Ball.clearance
+
+        def counting_clearance(self, p):
+            calls.append(len(p))
+            return clearance(self, p)
+
+        monkeypatch.setattr(Ball, "clearance", counting_clearance)
+        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 100)
+        # 2049, 2 and 513 samples, in runs of at most 100
+        assert np.array_equal(certified_segment_clearances(UNIT_DISK, a, b, 1e-3), want)
+        assert sum(calls) == 2049 + 2 + 513 and max(calls) < 200
 
     def test_large_batches_are_split(self, monkeypatch):
         a = interior_points(UNIT_DISK, 20, seed=1)
@@ -199,12 +223,10 @@ class TestSegmentClearances:
             return clearance(self, p)
 
         monkeypatch.setattr(Ball, "clearance", counting_clearance)
-        # a segment of more samples than the cap is refused, so the cap is
-        # at least the 129 samples of the longest disk segment
-        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 129)
+        monkeypatch.setattr(geometry, "SEGMENT_BATCH_SAMPLES", 100)
         got = certified_segment_clearances(UNIT_DISK, a, b, 0.02)
-        # a batch closes at 129 samples; one disk segment has at most 129
-        assert len(calls) > 1 and max(calls) < 129 + 129
+        # a batch closes at 100 samples; one disk segment has at most 129
+        assert len(calls) > 1 and max(calls) < 100 + 129
         assert np.array_equal(got, want)
 
 

@@ -191,6 +191,10 @@ class TestSetSeparation:
         with pytest.raises(ValueError, match="point set must be nonempty"):
             set_separation(Lattice(UNIT_DISK, 0.1), np.array([0.0, 0.0]), np.zeros((0, 2)), 2)
 
+    def test_start_of_several_points_refused(self):
+        with pytest.raises(ValueError, match="^start must be one point$"):
+            set_separation(Lattice(UNIT_DISK, 0.1), np.zeros((2, 2)), np.array([[0.1, 0.0]]), 2)
+
     def test_lattice_without_nodes_still_solves_three_hops(self):
         lattice = Lattice(Ball([0.05, 0.05], 0.04), 0.1)
         assert lattice.nodes.shape[0] == 0
@@ -443,6 +447,17 @@ class TestBetweenConditions:
         ok, _ = verify_between_conditions(UNIT_DISK, [(-0.4, 0), (0, 0), (0.4, 0), (0.4, 0.3)], 0.5)
         assert ok
         assert len(calls) == 2  # the points, then every segment's samples
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-6])
+    def test_tolerance_is_on_q_at_any_scale(self, scale):
+        disk = Ball(np.zeros(2), scale)
+        polyline = [(-0.4 * scale, 0.0), (0.4 * scale, 0.0)]
+        link = sequence_separation(disk, polyline)
+        assert verify_between_conditions(disk, polyline, link)[0]
+        assert verify_between_conditions(disk, polyline, link - 5e-16)[0]
+        # a distance tolerance of 1e-15 would pass this at scale 1e-6
+        ok, report = verify_between_conditions(disk, polyline, link - 1e-14)
+        assert not ok and report["reason"] == "link separation exceeds q"
 
     def test_three_point_chain_passes(self):
         ok, _ = verify_between_conditions(

@@ -8,8 +8,9 @@ SRC_ROOT is the directory that holds the `harnack` package to run (the
 workload at seeds 7 and 43, each through `harnack.cli.main(argv)`.  The
 digest covers, per command in order, its output file, exit code, stdout and
 stderr, with the work-directory path masked.  Equal digests mean equal CLI
-behaviour on the benchmark's commands.  Prints the command count, the
-number of commands that raised, and the digest.
+behaviour on the benchmark's commands.  Prints the directory `harnack` was
+imported from (and stops if it is not under SRC_ROOT), the command count,
+the number of commands that raised, and the digest.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ SEEDS = (7, 43)
 
 
 def main(src_root: str) -> None:
-    sys.path[:0] = [os.path.abspath(src_root), os.path.abspath(BENCH)]
+    src_root = os.path.abspath(src_root)
+    sys.path[:0] = [src_root, os.path.abspath(BENCH)]
     from harnack import cli
 
     import workloads
+
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    if os.path.commonpath([package, src_root]) != src_root:
+        sys.exit(f"harnack was imported from {package}, not from under {src_root}")
+    print(f"harnack {package}")
 
     digest, count, raised = hashlib.sha256(), 0, 0
     with tempfile.TemporaryDirectory() as tmp:
