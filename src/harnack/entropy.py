@@ -26,21 +26,17 @@ import numpy as np
 
 from .geometry import (
     Domain,
-    GridDimensionError,
     Lattice,
     certified_segment_clearances,
     diameter,
     hull_clearance,
     interior_clearances,
-    lattice_half_offsets,
-    lattice_neighbors,
     points_array,
 )
 
 __all__ = [
     "EacEstimate",
     "BallChain",
-    "GridDimensionError",
     "eac_hull_bound",
     "eac_estimate",
     "build_ball_chain",
@@ -117,18 +113,13 @@ def dijkstra(csgraph, **kwargs):
 
 
 def _grid_graph(lattice: Lattice):
-    """Certified edges (ii, jj, lengths, cert) between axis/diagonal lattice
-    neighbours (certification via endpoint+midpoint samples)."""
+    """Certified edges (ii, jj, lengths, cert) between lattice neighbours
+    whose offset lies in {-1, 0, 1}^d (certification via endpoint+midpoint
+    samples)."""
     nodes, clear = lattice.nodes, lattice.clear
-    ii, jj = lattice_neighbors(nodes, lattice.step, lattice_half_offsets((1,) * lattice.domain.dim))
-    if ii.size:
-        lengths = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
-        mids = 0.5 * (nodes[ii] + nodes[jj])
-        cm = lattice.domain.clearance(mids)
-        cert = np.minimum(np.minimum(clear[ii], clear[jj]), cm) - lengths / 4.0
-    else:
-        lengths = np.zeros(0)
-        cert = np.zeros(0)
+    ii, jj, lengths = lattice.pairs(lattice.domain.dim)
+    cm = lattice.domain.clearance(0.5 * (nodes[ii] + nodes[jj]))
+    cert = np.minimum(np.minimum(clear[ii], clear[jj]), cm) - lengths / 4.0
     return ii, jj, lengths, cert
 
 

@@ -50,8 +50,8 @@ def ball_harnack_from_center(dim: int, radius: float, rho: float) -> float:
     evaluated as (1 + t) / (1 - t)^(d-1) with t = rho / R."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite")
     if not 0 <= rho < radius:
         raise ValueError("point not interior: need 0 <= rho < radius")
     t = rho / radius

@@ -30,8 +30,6 @@ __all__ = [
     "load_point_set",
     "dump_point_set",
     "Lattice",
-    "lattice_half_offsets",
-    "lattice_neighbors",
     "certified_segment_clearances",
 ]
 
@@ -375,7 +373,10 @@ def diameter(pts) -> float:
 def _subdivisions(length: float, resolution: float) -> int:
     """Pieces of a segment of positive length: the least power of two
     whose pieces are no longer than resolution."""
-    return 1 << max(0, math.ceil(math.log2(length / resolution)))
+    ratio = length / resolution
+    if not math.isfinite(ratio):  # say, a subnormal resolution
+        raise ValueError(f"segment needs more than {SEGMENT_MAX_SAMPLES} samples")
+    return 1 << max(0, math.ceil(math.log2(ratio)))
 
 
 # most samples of one clearance call: a batch closes once it holds as many,
@@ -462,7 +463,7 @@ LATTICE_BUDGET = 1 << 22
 """Most lattice candidates (grid points in the bounding box) one lattice may
 have.  At this size a `Lattice` build peaks at 288 MB of allocations
 (`tracemalloc`) on the unit disk, 399 MB on the 3-D unit ball and 448 MB on
-an L-shaped hexagon, and an unpadded `lattice_neighbors` table over the box
+an L-shaped hexagon, and an unpadded `Lattice.pairs` table over the box
 takes 32 MB.  The budget bounds the lattice only; the solves that run on it
 cost more per node."""
 
@@ -534,45 +535,39 @@ class Lattice:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "clear", clear)
 
+    def pairs(self, reach2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node pairs (i, j, dist) with node j = node i + step * o for an
+        integer offset o that is lexicographically positive with |o|^2 <=
+        reach2, ordered by offset, then by i; dist is |node i - node j|.
 
-def lattice_half_offsets(bounds) -> np.ndarray:
-    """Integer offsets o with |o_k| <= bounds[k] that are lexicographically
-    positive, in lexicographic order: one offset of each pair +o, -o."""
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    # C-order is lexicographic and the box is symmetric, so 0 sits mid-way
-    return box[box.shape[0] // 2 + 1 :]
-
-
-def lattice_neighbors(nodes: np.ndarray, step: float, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of lattice nodes (integer multiples of step) with
-    node j = node i + step * o for an offset o, ordered by offset, then by i.
-
-    One table lookup, with no loop over the offsets: the nodes' integer keys
-    index a table over their bounding box, padded on each side by the largest
-    offset, that holds each node's index and -1 elsewhere.  With the table's
-    C-order strides s, node i sits at flat index f_i and offset o moves it by
-    o . s, so table[o . s + f_i] is j, or -1 if no node is there.  Offsets
-    longer than the box on some axis meet no node and are dropped first, so
-    the padding never exceeds the box.
-    """
-    keys = np.rint(nodes / step).astype(np.int64)
-    n, d = keys.shape
-    if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    lo = keys.min(axis=0)
-    ext = keys.max(axis=0) - lo + 1
-    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, d)
-    offsets = offsets[np.all(np.abs(offsets) < ext, axis=1)]
-    pad = np.abs(offsets).max(axis=0, initial=0)
-    shape = ext + 2 * pad
-    strides = np.cumprod(np.append(shape[1:], 1)[::-1])[::-1]
-    flat = (keys - lo + pad) @ strides
-    table = np.full(int(np.prod(shape)), -1, dtype=np.intp)
-    table[flat] = np.arange(n)
-    j = table[(offsets @ strides)[:, None] + flat[None, :]]
-    hit = j >= 0
-    return np.nonzero(hit)[1], j[hit]
+        One table lookup, with no loop over the offsets: the nodes' integer
+        keys index a table over their bounding box, padded on each side by
+        the longest offset, that holds each node's index and -1 elsewhere.
+        With the table's C-order strides s, node i sits at flat index f_i
+        and offset o moves it by o . s, so table[o . s + f_i] is j, or -1 if
+        no node is there.  An offset longer than the box on some axis meets
+        no node and is never made, so the padding never exceeds the box.
+        """
+        keys = np.rint(self.nodes / self.step).astype(np.int64)
+        if keys.shape[0] == 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        lo = keys.min(axis=0)
+        ext = keys.max(axis=0) - lo + 1
+        pad = np.minimum(ext - 1, math.isqrt(reach2))
+        axes = np.meshgrid(*[np.arange(-b, b + 1) for b in pad], indexing="ij")
+        box = np.stack(axes, axis=-1).reshape(-1, keys.shape[1])
+        # C-order is lexicographic and the box is symmetric, so 0 sits mid-way
+        offsets = box[box.shape[0] // 2 + 1 :]
+        offsets = offsets[(offsets**2).sum(axis=1) <= reach2]
+        shape = ext + 2 * pad
+        strides = np.cumprod(np.append(shape[1:], 1)[::-1])[::-1]
+        flat = (keys - lo + pad) @ strides
+        table = np.full(int(np.prod(shape)), -1, dtype=np.intp)
+        table[flat] = np.arange(keys.shape[0])
+        j = table[(offsets @ strides)[:, None] + flat[None, :]]
+        hit = j >= 0
+        i, j = np.nonzero(hit)[1], j[hit]
+        return i, j, np.linalg.norm(self.nodes[i] - self.nodes[j], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .geometry import (
     Lattice,
     certified_segment_clearances,
     interior_clearances,
-    lattice_half_offsets,
-    lattice_neighbors,
     points_array,
 )
 
@@ -106,42 +104,31 @@ class SeparationResult:
 _NO_EDGES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
 
-def _grid_edges(lattice: Lattice, neighbor_radius: float | None):
+def _grid_edges(lattice: Lattice):
     """The grid-grid edges (src, dst, cost) of set_separation, in both
-    directions, found from integer lattice offsets."""
-    nodes, clear, step = lattice.nodes, lattice.clear, lattice.step
-    if nodes.shape[0] == 0:  # np.ptp raises on an empty array
-        return _NO_EDGES
-    radius = 4.0 * step if neighbor_radius is None else neighbor_radius
-    # a slightly wider integer reach, so that the float test below decides
-    reach = radius / step * (1.0 + 1e-9)
-    span = np.rint(np.ptp(nodes, axis=0) / step)
-    offsets = lattice_half_offsets(np.minimum(span, np.floor(reach)).astype(int))
-    offsets = offsets[(offsets**2).sum(axis=1) <= reach * reach]
-    ii, jj = lattice_neighbors(nodes, step, offsets)
-    diff = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
-    cost = diff / (clear[ii] + clear[jj])
-    keep = (diff <= radius) & (cost < 1.0)
+    directions, between lattice nodes at most 4 steps apart."""
+    ii, jj, dist = lattice.pairs(16)
+    cost = dist / (lattice.clear[ii] + lattice.clear[jj])
+    # the float test decides the pairs exactly 4 steps apart
+    keep = (dist <= 4.0 * lattice.step) & (cost < 1.0)
     ii, jj, cost = ii[keep], jj[keep], cost[keep]
     return np.concatenate([ii, jj]), np.concatenate([jj, ii]), np.concatenate([cost, cost])
 
 
-def set_separation(
-    lattice: Lattice, start, targets, hops: int, neighbor_radius: float | None = None
-) -> SeparationResult:
+def set_separation(lattice: Lattice, start, targets, hops: int) -> SeparationResult:
     """Upper estimate of the sup-inf set separation from start to targets
     with at most `hops` links, by a hop-limited minimax solve on the grid
     nodes of the lattice.
 
     Edge cost is the pair separation |p_i - p_j| / (c_i + c_j), and edges
     with cost >= 1 are dropped.  The edges are
-      - grid-grid pairs within the neighbor radius (default 4 * lattice.step);
+      - grid-grid pairs at most 4 * lattice.step apart;
       - the start and each target to every grid node;
       - all pairs among the start and the targets;
       - a zero-cost self-edge per node, which makes the exactly-l and
         at-most-l formulations coincide.
-    Memory is O(N k + m N) for N grid nodes, k lattice offsets inside the
-    radius and m targets.  Each hop relaxes every edge, and a node's
+    Memory is O(N k + m N) for N grid nodes, k lattice offsets within 4
+    steps and m targets.  Each hop relaxes every edge, and a node's
     predecessor is the lowest-indexed one that attains its minimum.
 
     The grid-grid edges are built for hops >= 3 only.  That is exact: at
@@ -165,23 +152,19 @@ def set_separation(
     pts = np.vstack([nodes, extra])
     n = pts.shape[0]
 
-    # start/targets to grid nodes, as an (m+1, N) array
-    diff = np.linalg.norm(extra[:, None, :] - nodes[None, :, :], axis=2)
-    cost = diff / (c_extra[:, None] + clear[None, :])
-    a, g = np.nonzero(cost < 1.0)
-    to_grid = cost[a, g]
+    # start/targets to every point, as an (m+1, N+m+1) array
+    diff = np.linalg.norm(extra[:, None, :] - pts[None, :, :], axis=2)
+    cost = diff / (c_extra[:, None] + np.concatenate([clear, c_extra])[None, :])
+    np.fill_diagonal(cost[:, n_grid:], np.inf)  # self-edges come below
+    a, b = np.nonzero(cost < 1.0)
+    link = cost[a, b]
     a += n_grid
-    # pairs among the start and the targets
-    diff = np.linalg.norm(extra[:, None, :] - extra[None, :, :], axis=2)
-    cost = diff / (c_extra[:, None] + c_extra[None, :])
-    np.fill_diagonal(cost, np.inf)  # self-edges come below
-    p, q = np.nonzero(cost < 1.0)
-    among = cost[p, q]
+    g = b < n_grid  # the edges back from grid nodes, which have no row
     ids = np.arange(n)
-    src_g, dst_g, cost_g = _grid_edges(lattice, neighbor_radius) if hops >= 3 else _NO_EDGES
-    src = np.concatenate([src_g, a, g, p + n_grid, ids])
-    dst = np.concatenate([dst_g, g, a, q + n_grid, ids])
-    cost = np.concatenate([cost_g, to_grid, to_grid, among, np.zeros(n)])
+    src_g, dst_g, cost_g = _grid_edges(lattice) if hops >= 3 else _NO_EDGES
+    src = np.concatenate([src_g, a, b[g], ids])
+    dst = np.concatenate([dst_g, b, a[g], ids])
+    cost = np.concatenate([cost_g, link, link[g], np.zeros(n)])
 
     order = np.argsort(dst * n + src)
     src, dst, cost = src[order], dst[order], cost[order]

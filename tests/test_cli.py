@@ -82,6 +82,13 @@ class TestBall:
     def test_invalid_arguments(self, capsys):
         assert main(["ball", "--dim", "2", "--radius", "1", "--rho", "2"]) == 2
 
+    @pytest.mark.parametrize("radius,rho", [("nan", "0"), ("inf", "0.5")])
+    def test_radius_must_be_positive_and_finite(self, capsys, radius, rho):
+        assert main(["ball", "--dim", "2", "--radius", radius, "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radius must be positive and finite" in captured.err
+
     def test_extreme_radius_at_the_center(self, capsys):
         code, out = run(capsys, ["ball", "--dim", "400", "--radius", "1e300", "--rho", "0"])
         assert code == 0

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from harnack import entropy
 from harnack.entropy import (
-    GridDimensionError,
     PairRecord,
     _grid_graph,
     build_ball_chain,
@@ -18,6 +17,7 @@ from harnack.entropy import (
 from harnack.geometry import (
     Ball,
     Box,
+    GridDimensionError,
     Polygon2D,
     UnionOfBalls,
     Lattice,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack import entropy, geometry, separation
+from harnack import geometry, separation
 from harnack.geometry import (
     Ball,
     Box,
@@ -193,6 +194,18 @@ class TestSegmentClearances:
         with pytest.raises(ValueError, match="needs 536870913 samples"):
             separation.verify_between_conditions(UNIT_DISK, [[0, 0], [0.5, 0]], 0.9, 1e-9)
         assert calls == [2]  # the polyline's points, not a segment sample
+
+    def test_count_beyond_the_float_range_refused_before_any_clearance_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Ball, "clearance", lambda self, p: calls.append(len(p)))
+        # 0.5 / 1e-320 is inf: no power of two is counted
+        for refuse in (
+            lambda: certified_segment_clearances(UNIT_DISK, [[0, 0]], [[0.5, 0]], 1e-320),
+            lambda: hull_clearance(UNIT_DISK, [[0, 0], [0.5, 0]], 1e-320),
+        ):
+            with pytest.raises(ValueError, match="^segment needs more than 268435456 samples$"):
+                refuse()
+        assert calls == []
 
     def test_long_segment_is_cut_into_runs(self, monkeypatch):
         a = np.array([[-0.4, 0.1], [0.0, 0.0], [0.5, 0.5]])
@@ -422,7 +435,6 @@ class TestLattice:
         # 2^44 candidates: the dimension is refused first
         with pytest.raises(geometry.GridDimensionError, match="d=4 > 3"):
             Lattice(cube4, 2.0**-10)
-        assert entropy.GridDimensionError is geometry.GridDimensionError
 
     def test_candidates_match_the_mesh_size(self):
         rng = np.random.default_rng(11)
@@ -566,44 +578,36 @@ NEIGHBOR_LATTICES = {
 }
 
 
-class TestLatticeNeighbors:
-    def assert_same(self, nodes, step, offsets):
-        got = geometry.lattice_neighbors(nodes, step, offsets)
-        want = _searchsorted_neighbors(nodes, step, offsets)
-        for g, w in zip(got, want):
-            assert g.dtype == np.intp
-            assert np.array_equal(g, w)
-        return got
+def _half_offsets(d, reach2):
+    """The lexicographically positive integer offsets o with |o|^2 <= reach2,
+    in lexicographic order."""
+    r = math.isqrt(reach2)
+    box = itertools.product(range(-r, r + 1), repeat=d)
+    return np.array([o for o in box if o > (0,) * d and sum(k * k for k in o) <= reach2])
 
+
+class TestLatticePairs:
     @pytest.mark.parametrize("name", sorted(NEIGHBOR_LATTICES))
     def test_matches_the_searchsorted_loop(self, name):
         domain, step = NEIGHBOR_LATTICES[name]
-        nodes = Lattice(domain, step).nodes
+        lattice = Lattice(domain, step)
+        nodes, n = lattice.nodes, lattice.nodes.shape[0]
         keys = np.rint(nodes / step).astype(np.int64)
-        span = keys.max(axis=0) - keys.min(axis=0)
-        half = geometry.lattice_half_offsets
-        for bounds in ((1,) * domain.dim, (4,) * domain.dim):
-            self.assert_same(nodes, step, half(bounds))
-        # clamped to the span, as the separation solver's offsets are
-        self.assert_same(nodes, step, half(np.minimum(span, 6)))
-        # a radius beyond the domain: offsets longer than the span on every axis
-        assert len(self.assert_same(nodes, step, half(span + 2))[0]) > 0
-        # a single offset longer than the span on one axis only
-        long = np.zeros((1, domain.dim), dtype=np.int64)
-        long[0, 0] = span[0] + 1
-        assert self.assert_same(nodes, step, long)[0].size == 0
+        beyond = int(((keys.max(axis=0) - keys.min(axis=0) + 1) ** 2).sum())
+        for reach2 in (domain.dim, 16, beyond):
+            i, j, dist = lattice.pairs(reach2)
+            want = _searchsorted_neighbors(nodes, step, _half_offsets(domain.dim, reach2))
+            for got, w in zip((i, j), want):
+                assert got.dtype == np.intp
+                assert np.array_equal(got, w)
+            assert np.array_equal(dist, np.linalg.norm(nodes[i] - nodes[j], axis=1))
+        # beyond the span, every pair of nodes once
+        assert i.size == n * (n - 1) // 2
 
-    def test_unsorted_nodes_and_mixed_signs(self):
-        nodes = Lattice(UNIT_DISK, 0.1).nodes[::-1].copy()
-        rng = np.random.default_rng(3)
-        nodes = nodes[rng.permutation(nodes.shape[0])]
-        self.assert_same(nodes, 0.1, np.array([[1, -2], [0, 3], [2, 2], [-1, 1]]))
-
-    def test_empty_offsets(self):
-        nodes = Lattice(UNIT_DISK, 0.1).nodes
-        ii, jj = self.assert_same(nodes, 0.1, np.zeros((0, 2), dtype=np.int64))
-        assert ii.size == jj.size == 0
-
-    def test_empty_node_set(self):
-        ii, jj = self.assert_same(np.zeros((0, 3)), 0.1, geometry.lattice_half_offsets((1, 1, 1)))
-        assert ii.size == jj.size == 0
+    def test_empty_lattice(self):
+        lattice = Lattice(Ball(np.full(3, 0.05), 0.04), 0.1)
+        assert lattice.nodes.shape == (0, 3)
+        for reach2 in (3, 16):
+            i, j, dist = lattice.pairs(reach2)
+            assert i.dtype == j.dtype == np.intp
+            assert i.size == j.size == dist.size == 0

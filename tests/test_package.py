@@ -51,8 +51,6 @@ GEOMETRY = [
     "dump_point_set",
     "hull_clearance",
     "interior_clearances",
-    "lattice_half_offsets",
-    "lattice_neighbors",
     "load_domain",
     "load_point_set",
 ]

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnack import geometry, separation
+from harnack import geometry
 from harnack.exact import ball_harnack_two_points
-from harnack.geometry import Ball, Box, Lattice, Polygon2D, UnionOfBalls, lattice_neighbors
+from harnack.geometry import Ball, Box, Lattice, Polygon2D, UnionOfBalls
 from harnack.separation import (
     chain_bound,
     pair_bound,
@@ -156,7 +156,7 @@ class TestSetSeparation:
             cost[i, i] = 0.0
         i0, it = n - 2, n - 1
         for hops in (1, 2, 3):
-            res = set_separation(lattice, start, targets, hops, neighbor_radius=10.0).per_target[0][0]
+            res = set_separation(lattice, start, targets, hops).per_target[0][0]
             best = math.inf
             for mids in itertools.product(range(n), repeat=hops - 1):
                 seq = [i0, *mids, it]
@@ -206,7 +206,7 @@ class TestSetSeparation:
         assert np.array_equal(poly, [start, start, start, target])
 
 
-def _dense_solve(lattice, radius, start, targets, hops):
+def _dense_solve(lattice, start, targets, hops):
     """The former dense solver: an (N+m)^2 cost matrix and an argmin DP."""
     n_grid = lattice.nodes.shape[0]
     pts = np.vstack([lattice.nodes, start[None, :], targets])
@@ -214,7 +214,7 @@ def _dense_solve(lattice, radius, start, targets, hops):
     diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     cost = diff / (clear[:, None] + clear[None, :])
     far = np.zeros(cost.shape, dtype=bool)
-    far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > radius
+    far[:n_grid, :n_grid] = diff[:n_grid, :n_grid] > 4.0 * lattice.step
     cost[far] = np.inf
     cost[cost >= 1.0] = np.inf
     np.fill_diagonal(cost, 0.0)
@@ -258,10 +258,10 @@ def _interior_points(domain, k, rng):
 
 
 class TestSparseSolverMatchesDense:
-    def assert_same(self, lattice, radius, start, targets, hops):
-        res = set_separation(lattice, start, targets, hops, neighbor_radius=radius)
+    def assert_same(self, lattice, start, targets, hops):
+        res = set_separation(lattice, start, targets, hops)
         got = res.per_target
-        want = _dense_solve(lattice, 4.0 * lattice.step if radius is None else radius, start, targets, hops)
+        want = _dense_solve(lattice, start, targets, hops)
         assert res.value == max(v for v, _ in want.values())
         for t, (val, poly) in want.items():
             assert got[t][0] == val
@@ -272,20 +272,26 @@ class TestSparseSolverMatchesDense:
         return got
 
     @pytest.mark.parametrize("name", sorted(SOLVER_DOMAINS))
-    @pytest.mark.parametrize("radius", [None, 10.0], ids=["default", "beyond_domain"])
-    def test_seeded_instances(self, name, radius):
+    @pytest.mark.parametrize("grid", ["default", "beyond_domain"])
+    def test_seeded_instances(self, name, grid):
         domain, step = SOLVER_DOMAINS[name]
-        lattice = Lattice(domain, step)
+        if grid == "beyond_domain":
+            # 4 steps pass the lattice's span on every axis: all node pairs link
+            lattice = Lattice(domain, domain.bounding_diameter() / 4.0)
+            n = lattice.nodes.shape[0]
+            assert n > 1 and lattice.pairs(16)[0].size == n * (n - 1) // 2
+        else:
+            lattice = Lattice(domain, step)
         rng = np.random.default_rng(2021)
         for _ in range(3):
             pts = _interior_points(domain, 5, rng)
             for hops in (1, 2, 3):
-                self.assert_same(lattice, radius, pts[0], pts[1:], hops)
+                self.assert_same(lattice, pts[0], pts[1:], hops)
 
     def test_unreachable_targets(self):
         start = np.array([-0.6, 0.0])
         targets = np.array([[0.6, 0.0], [-0.5, 0.1]])  # q = 1.5 and q < 1
-        got = self.assert_same(Lattice(UNIT_DISK, 0.1), None, start, targets, 1)
+        got = self.assert_same(Lattice(UNIT_DISK, 0.1), start, targets, 1)
         assert got[0] == (math.inf, None)
         assert math.isfinite(got[1][0])
 
@@ -306,11 +312,13 @@ class TestGridEdgesOnDemand:
     def calls(self, monkeypatch):
         count = []
 
-        def counting(*args):
-            count.append(1)
-            return lattice_neighbors(*args)
+        pairs = Lattice.pairs
 
-        monkeypatch.setattr(separation, "lattice_neighbors", counting)
+        def counting(self, reach2):
+            count.append(1)
+            return pairs(self, reach2)
+
+        monkeypatch.setattr(Lattice, "pairs", counting)
         return count
 
     def test_two_hops_build_no_grid_edges(self, calls):

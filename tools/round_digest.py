@@ -9,8 +9,10 @@ workload at seeds 7 and 43, each through `harnack.cli.main(argv)`.  The
 digest covers, per command in order, its output file, exit code, stdout and
 stderr, with the work-directory path masked.  Equal digests mean equal CLI
 behaviour on the benchmark's commands.  Prints the directory `harnack` was
-imported from (and stops if it is not under SRC_ROOT), the command count,
-the number of commands that raised, and the digest.
+imported from (and stops if it is not under SRC_ROOT), one digest per
+workload over that workload's commands, so that a mismatch names its
+workload, then the command count, the number of commands that raised, and
+the total digest.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ def main(src_root: str) -> None:
     digest, count, raised = hashlib.sha256(), 0, 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.WORKLOADS:
+            part_digest = hashlib.sha256()
             for seed in SEEDS:
                 workdir = os.path.join(tmp, f"{name}-{seed}")
                 os.mkdir(workdir)
@@ -58,8 +61,10 @@ def main(src_root: str) -> None:
                             written = f.read()
                     texts = (status, out.getvalue(), err.getvalue())
                     for part in (written, *(t.replace(workdir, "<work>").encode() for t in texts)):
-                        digest.update(len(part).to_bytes(8, "little") + part)
+                        for d in (digest, part_digest):
+                            d.update(len(part).to_bytes(8, "little") + part)
                     count += 1
+            print(f"sha256 {name} {part_digest.hexdigest()}")
     print(f"commands {count}")
     print(f"raised {raised}")
     print(f"sha256 {digest.hexdigest()}")
