@@ -8,13 +8,12 @@ witness polylines, the ball-chain constructor those witnesses support, and
 the resulting Harnack-distance bound (3 * 2^(d-2))^(2*eac + 1).
 
 The grid estimator sweeps a ladder of clearance levels.  At each level it
-builds one directed graph for the whole set: the certified lattice edges
-in both directions, and for every set point a source copy with out-edges
-only and a sink copy with in-edges only, so that a path never relays
-through a third set point.  One Dijkstra call from all source copies then
-gives every pair's shortest certified path at that level.  The edges from
-a point to its nearby lattice nodes are certified once per point, and all
-segment certificates come from one batched clearance evaluation.
+builds one undirected graph for the whole set, whose nodes are the lattice
+nodes and the set points, from the edges certified at that level.  One
+Dijkstra call from every set point then gives every pair's shortest
+certified path at that level.  The edges from a point to its nearby nodes
+are certified once per point, and all segment certificates come from one
+batched clearance evaluation.
 """
 
 from __future__ import annotations
@@ -143,15 +142,13 @@ def eac_estimate(lattice: Lattice, pts, clearance_levels=None) -> EacEstimate:
     reported value is an upper estimate of the true entropy because each
     witness polyline is a feasible curve with certified clearance.
 
-    All pairs share one directed graph per level and one Dijkstra call
-    from every set point.  Each set point is split into a source copy with
-    out-edges only and a sink copy with in-edges only, so no path relays
-    through a third set point and the distance from source a to sink b is
-    the shortest path of the graph that holds the lattice and the pair
-    alone.  A point's special edges (to lattice nodes within reach
-    h*sqrt(d)) are certified once, not once per pair, and every segment
-    certificate the estimator needs comes from one batch of clearance
-    calls (certified_segment_clearances).
+    All pairs share one undirected graph per level, whose nodes are the
+    lattice nodes and the set points, and one Dijkstra call from every set
+    point; a path may pass through a third set point, as any curve in the
+    domain may.  A point's edges (to the lattice nodes and set points
+    within reach h*sqrt(d)) are certified once, not once per pair, and
+    every segment certificate the estimator needs comes from one batch of
+    clearance calls (certified_segment_clearances).
     """
     domain, grid_step = lattice.domain, lattice.step
     p, clear_p = interior_clearances(domain, pts)
@@ -168,73 +165,62 @@ def eac_estimate(lattice: Lattice, pts, clearance_levels=None) -> EacEstimate:
     if m == 1:
         return EacEstimate(0.0, {}, p, grid_step, tuple(levels.tolist()))
 
-    nodes, clear = lattice.nodes, lattice.clear
     ii, jj, lengths, cert = _grid_graph(lattice)
-    n = nodes.shape[0]
-    reach = grid_step * math.sqrt(domain.dim)
+    n = lattice.nodes.shape[0]
+    nodes = np.vstack([lattice.nodes, p])  # set point a is node n + a
+    reach = grid_step * math.sqrt(domain.dim) + 1e-12
     pa, pb = np.triu_indices(m, 1)
     dxy = np.array([float(np.linalg.norm(p[a] - p[b])) for a, b in zip(pa, pb)])
-    direct = np.flatnonzero(dxy <= reach)
-    near, near_dist, owner = [], [], []
+    # edges src - dst: the grid edges, then from each set point to every
+    # lattice node and every later set point within reach
+    src, dst, weight = [ii], [jj], [lengths]
     for a in range(m):
         to_nodes = np.linalg.norm(nodes - p[a], axis=1)
-        k = np.flatnonzero(to_nodes <= reach + 1e-12)
-        near.append(k)
-        near_dist.append(to_nodes[k])
-        owner.append(np.full(k.size, a))
-    near, near_dist, owner = map(np.concatenate, (near, near_dist, owner))
+        to_nodes[n : n + a + 1] = np.inf  # a itself, and the earlier points that link to a
+        k = np.flatnonzero(to_nodes <= reach)
+        src.append(np.full(k.size, n + a))
+        dst.append(k)
+        weight.append(to_nodes[k])
+    src, dst, weight = map(np.concatenate, (src, dst, weight))
 
-    # straight segments at h/10, direct edges and special edges at h/2
+    # straight segments at h/10, point edges at h/2
     segs = certified_segment_clearances(
         domain,
-        np.concatenate([p[pa], p[pa[direct]], p[owner]]),
-        np.concatenate([p[pb], p[pb[direct]], nodes[near]]),
-        np.repeat([grid_step / 10.0, grid_step / 2.0], [pa.size, direct.size + near.size]),
+        np.concatenate([p[pa], nodes[src[ii.size :]]]),
+        np.concatenate([p[pb], nodes[dst[ii.size :]]]),
+        np.repeat([grid_step / 10.0, grid_step / 2.0], [pa.size, src.size - ii.size]),
     )
-    seg_clear, direct_cert, near_cert = np.split(segs, [pa.size, pa.size + direct.size])
-
-    # Edges src -> dst with their weight and the highest level at which
-    # they are certified.  Lattice node v is node v; point a's source copy
-    # is node n + a and its sink copy node n + m + a.
-    node_top = clear - grid_step / 2.0
-    grid_top = np.minimum(np.minimum(cert, node_top[ii]), node_top[jj])
-    near_top = np.minimum(near_cert, node_top[near])
-    src = np.concatenate([ii, jj, n + owner, near, n + pa[direct]])
-    dst = np.concatenate([jj, ii, near, n + m + owner, n + m + pb[direct]])
-    weight = np.concatenate([lengths, lengths, near_dist, near_dist, dxy[direct]])
-    top = np.concatenate([grid_top, grid_top, near_top, near_top, direct_cert])
-    size = n + 2 * m
+    seg_clear, point_cert = np.split(segs, [pa.size])
+    # the highest level at which an edge is certified: its own certificate,
+    # and half a step less than the clearance of its lattice nodes
+    node_top = np.concatenate([lattice.clear - grid_step / 2.0, np.full(m, np.inf)])
+    top = np.minimum(np.concatenate([cert, point_cert]), np.minimum(node_top[src], node_top[dst]))
 
     # the straight segment, certified at its own best clearance
     best = [
-        PairRecord(float(d) / float(c), float(c), np.vstack([p[a], p[b]])) if c > 0 else None
-        for a, b, d, c in zip(pa, pb, dxy, seg_clear)
+        PairRecord(float(d) / c, c, p[[a, b]]) if c > 0 else PairRecord(math.inf, 0.0, p[[a, b]])
+        for a, b, d, c in zip(pa, pb, dxy, seg_clear.tolist())
     ]
     import scipy.sparse as sp  # with dijkstra, so that other commands never load scipy
 
     for r in levels:
         r = float(r)
         keep = top >= r
-        g = sp.csr_matrix((weight[keep], (src[keep], dst[keep])), shape=(size, size))
+        g = sp.csr_matrix((weight[keep], (src[keep], dst[keep])), shape=(n + m, n + m))
         dist, pred = dijkstra(
-            g, directed=True, indices=n + np.arange(m - 1), return_predecessors=True
+            g, directed=False, indices=n + np.arange(m - 1), return_predecessors=True
         )
         for k, (a, b) in enumerate(zip(pa, pb)):
-            d = dist[a, n + m + b]
+            d = dist[a, n + b]
             # a record is replaced only by a strictly better ratio
-            if not np.isfinite(d) or (best[k] is not None and best[k].ratio <= d / r):
+            if d / r >= best[k].ratio:
                 continue
-            path = [pred[a, n + m + b]]
+            path = [n + b]
             while path[-1] != n + a:
                 path.append(pred[a, path[-1]])
-            best[k] = PairRecord(
-                float(d) / r, r, np.vstack([p[a], nodes[path[-2::-1]], p[b]])
-            )
+            best[k] = PairRecord(float(d) / r, r, nodes[path[::-1]])
 
-    per_pair = {
-        (int(a), int(b)): rec or PairRecord(math.inf, 0.0, np.vstack([p[a], p[b]]))
-        for a, b, rec in zip(pa, pb, best)
-    }
+    per_pair = {(int(a), int(b)): rec for a, b, rec in zip(pa, pb, best)}
     value = max((r.ratio for r in per_pair.values()), default=0.0)
     return EacEstimate(value, per_pair, p, grid_step, tuple(levels.tolist()))
 

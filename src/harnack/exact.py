@@ -70,8 +70,8 @@ def _ball_pair(x, y, center, radius: float) -> tuple[float, np.ndarray]:
     phi(z) = (z - q) / (1 - conj(q) z) turns the ratio of p (nearer the
     sphere) over q into that of w = phi(p) over 0: zeta = phi^-1(w / |w|).
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite")
     c, x, y = (np.asarray(p, dtype=float) for p in (center, x, y))
     d = c.size
     if c.ndim != 1 or d < 2 or x.shape != c.shape or y.shape != c.shape:

@@ -26,9 +26,7 @@ __all__ = [
     "hull_clearance",
     "interior_clearances",
     "load_domain",
-    "dump_domain",
     "load_point_set",
-    "dump_point_set",
     "Lattice",
     "certified_segment_clearances",
 ]
@@ -83,9 +81,6 @@ class Domain:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class Ball(Domain):
@@ -118,9 +113,6 @@ class Ball(Domain):
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
-
-    def to_dict(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +150,6 @@ class Box(Domain):
 
     def bounding_box(self):
         return self.lo, self.hi
-
-    def to_dict(self):
-        return {"type": "box", "min": self.lo.tolist(), "max": self.hi.tolist()}
 
 
 def _segments_intersect(a, b, c, d) -> bool:
@@ -266,9 +255,6 @@ class Polygon2D(Domain):
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def to_dict(self):
-        return {"type": "polygon", "vertices": self.vertices.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class UnionOfBalls(Domain):
@@ -323,15 +309,6 @@ class UnionOfBalls(Domain):
         lo = (self.centers - self.radii[:, None]).min(axis=0)
         hi = (self.centers + self.radii[:, None]).max(axis=0)
         return lo, hi
-
-    def to_dict(self):
-        return {
-            "type": "union_of_balls",
-            "balls": [
-                {"center": c.tolist(), "radius": float(r)}
-                for c, r in zip(self.centers, self.radii)
-            ],
-        }
 
 
 def points_array(pts, domain: Domain | None = None) -> np.ndarray:
@@ -601,10 +578,6 @@ def domain_from_dict(data: dict) -> Domain:
     return dom
 
 
-def domain_to_dict(domain: Domain) -> dict:
-    return {"dim": domain.dim, "shape": domain.to_dict()}
-
-
 def _load(path, kind: str, parse):
     """parse(JSON at path); a wrong structure (say, a null number) is a ValueError."""
     with open(path) as f:
@@ -619,21 +592,8 @@ def load_domain(path) -> Domain:
     return _load(path, "domain", domain_from_dict)
 
 
-def dump_domain(domain: Domain, path) -> None:
-    with open(path, "w") as f:
-        json.dump(domain_to_dict(domain), f, indent=2)
-        f.write("\n")
-
-
 def load_point_set(path, domain: Domain) -> np.ndarray:
     """The points of a point-set file as an (n, d) array: nonempty, of the
     domain's dimension, finite and interior to the domain."""
 
     return _load(path, "point-set", lambda data: interior_clearances(domain, data["points"])[0])
-
-
-def dump_point_set(pts, path) -> None:
-    p = points_array(pts)
-    with open(path, "w") as f:
-        json.dump({"points": p.tolist()}, f, indent=2)
-        f.write("\n")

@@ -239,90 +239,52 @@ def test_grid_graph_evaluates_lattice_clearances_once(monkeypatch):
 # --- the per-pair estimator: one graph and one Dijkstra call per pair and level
 
 
-def _special_edges(domain, nodes, p, reach, grid_step):
-    if nodes.shape[0] == 0:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-    dist = np.linalg.norm(nodes - p, axis=1)
-    near = np.where(dist <= reach + 1e-12)[0]
-    cert = np.array(
-        [certified_segment_clearance(domain, p, nodes[j], grid_step / 2.0) for j in near]
-    )
-    return near, dist[near], cert
-
-
-def _level_shortest_path(
-    nodes, n, ii, jj, lengths, cert, node_ok,
-    x, y, xi, xdist, xcert, yi, ydist, ycert,
-    dxy, direct_cert, r,
-):
-    rows, cols, data = [], [], []
-    if ii.size:
-        keep = (cert >= r) & node_ok[ii] & node_ok[jj]
-        rows.append(ii[keep])
-        cols.append(jj[keep])
-        data.append(lengths[keep])
-    kx = (xcert >= r) & node_ok[xi]
-    rows.append(np.full(kx.sum(), n))
-    cols.append(xi[kx])
-    data.append(xdist[kx])
-    ky = (ycert >= r) & node_ok[yi]
-    rows.append(np.full(ky.sum(), n + 1))
-    cols.append(yi[ky])
-    data.append(ydist[ky])
-    if direct_cert >= r:
-        rows.append(np.array([n]))
-        cols.append(np.array([n + 1]))
-        data.append(np.array([dxy]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    if rows.size == 0:
-        return None
-    g = sp.csr_matrix((data, (rows, cols)), shape=(n + 2, n + 2))
-    dist, pred = entropy.dijkstra(g, directed=False, indices=n, return_predecessors=True)
-    if not np.isfinite(dist[n + 1]):
-        return None
-    path = [n + 1]
-    while path[-1] != n:
-        path.append(pred[path[-1]])
-    path.reverse()
-    coords = np.vstack([x if k == n else y if k == n + 1 else nodes[k] for k in path])
-    return PairRecord(float(dist[n + 1]) / r, r, coords)
-
-
-def per_pair_estimate(domain, p, grid_step, levels):
-    """Reference estimator: every pair and level gets its own graph with
-    the lattice and that pair alone."""
+def per_pair_estimate(domain, p, grid_step, levels, relay=True):
+    """Reference estimator: every pair and level gets its own graph, which
+    holds the lattice and every set point, or with relay=False the lattice
+    and that pair alone (the former estimator, which kept every curve off
+    the third set points).  Each point edge is certified on its own."""
     lattice = Lattice(domain, grid_step)
-    nodes, clear = lattice.nodes, lattice.clear
+    n, m = lattice.nodes.shape[0], p.shape[0]
+    nodes = np.vstack([lattice.nodes, p])  # set point k is node n + k
+    node_top = np.concatenate([lattice.clear - grid_step / 2.0, np.full(m, np.inf)])
     ii, jj, lengths, cert = _grid_graph(lattice)
-    n = nodes.shape[0]
-    reach = grid_step * math.sqrt(domain.dim)
+    grid_top = np.minimum(cert, np.minimum(node_top[ii], node_top[jj]))
+    reach = grid_step * math.sqrt(domain.dim) + 1e-12
+    point_edges = []  # (n + k, v, length, level cap) from set point k to a node v
+    for k in range(m):
+        dist = np.linalg.norm(nodes - p[k], axis=1)
+        for v in np.flatnonzero(dist <= reach):
+            if v < n or v > n + k:
+                cap = certified_segment_clearance(domain, p[k], nodes[v], grid_step / 2.0)
+                point_edges.append((n + k, v, dist[v], min(cap, node_top[v])))
+    ps, pd, pw, pt = map(np.array, zip(*point_edges))
     per_pair = {}
-    for a in range(p.shape[0]):
-        for b in range(a + 1, p.shape[0]):
+    for a in range(m):
+        for b in range(a + 1, m):
             x, y = p[a], p[b]
+            # without relays, the other set points get no edges
+            ends = (n + a, n + b)
+            own = relay | (np.isin(ps, ends) & ((pd < n) | np.isin(pd, ends)))
+            rows, cols = np.concatenate([ii, ps[own]]), np.concatenate([jj, pd[own]])
+            data, top = np.concatenate([lengths, pw[own]]), np.concatenate([grid_top, pt[own]])
             seg_clear = certified_segment_clearance(domain, x, y, grid_step / 10.0)
-            best = None
             if seg_clear > 0:
-                ratio = float(np.linalg.norm(x - y)) / seg_clear
-                best = PairRecord(ratio, seg_clear, np.vstack([x, y]))
-            xi, xdist, xcert = _special_edges(domain, nodes, x, reach, grid_step)
-            yi, ydist, ycert = _special_edges(domain, nodes, y, reach, grid_step)
-            dxy = float(np.linalg.norm(x - y))
-            direct_cert = (
-                certified_segment_clearance(domain, x, y, grid_step / 2.0) if dxy <= reach else 0.0
-            )
-            for r in levels:
-                node_ok = clear - grid_step / 2.0 >= r
-                rec = _level_shortest_path(
-                    nodes, n, ii, jj, lengths, cert, node_ok,
-                    x, y, xi, xdist, xcert, yi, ydist, ycert,
-                    dxy, direct_cert, float(r),
+                best = PairRecord(float(np.linalg.norm(x - y)) / seg_clear, seg_clear, p[[a, b]])
+            else:
+                best = PairRecord(math.inf, 0.0, p[[a, b]])
+            for r in map(float, levels):
+                keep = top >= r
+                g = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n + m, n + m))
+                dist, pred = entropy.dijkstra(
+                    g, directed=False, indices=n + a, return_predecessors=True
                 )
-                if rec is not None and (best is None or rec.ratio < best.ratio):
-                    best = rec
-            per_pair[(a, b)] = best or PairRecord(math.inf, 0.0, np.vstack([x, y]))
+                if dist[n + b] / r < best.ratio:
+                    path = [n + b]
+                    while path[-1] != n + a:
+                        path.append(pred[path[-1]])
+                    best = PairRecord(float(dist[n + b]) / r, r, nodes[path[::-1]])
+            per_pair[(a, b)] = best
     return per_pair
 
 
@@ -374,17 +336,22 @@ def test_batched_estimator_matches_per_pair_graphs(name):
     domain, p, grid_step, levels = ORACLE_CASES[name]
     est = eac_estimate(Lattice(domain, grid_step), p, levels)
     want = per_pair_estimate(domain, p, grid_step, est.clearance_levels)
-    assert est.per_pair.keys() == want.keys()
+    former = per_pair_estimate(domain, p, grid_step, est.clearance_levels, relay=False)
+    assert est.per_pair.keys() == want.keys() == former.keys()
     for key, rec in est.per_pair.items():
         ref = want[key]
         assert rec.ratio == pytest.approx(ref.ratio, rel=1e-12, abs=0)
         assert rec.clearance == ref.clearance
+        # a curve through a third set point only ever adds to the choice
+        assert rec.ratio <= former[key].ratio * (1 + 1e-12)
         if math.isfinite(rec.ratio):
             build_ball_chain(domain, p[key[0]], p[key[1]], rec.ratio * (1 + 1e-9), est)
+    relayed = [k for k, rec in est.per_pair.items() if rec.ratio < former[k].ratio * (1 - 1e-12)]
+    assert bool(relayed) == (name == "union-8")
 
 
 def test_oracle_cases_reach_the_special_paths():
-    # a direct edge, a level without any path, and a pair without witness
+    # an edge between two set points, a level without any path, and a pair without witness
     _, p, h, _ = ORACLE_CASES["disk-direct-edge"]
     assert np.linalg.norm(p[0] - p[1]) <= h * math.sqrt(2)
     domain, p, h, levels = ORACLE_CASES["union-3-high-levels"]

@@ -339,6 +339,11 @@ class TestBallOracle:
         with pytest.raises(ValueError, match="float range"):
             ball_harnack_two_points(np.zeros(400), np.r_[0.9, np.zeros(399)], np.zeros(400), 1.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            ball_harnack_two_points([0.0, 0.0], [0.5, 0.0], [0.0, 0.0], radius)
+
 
 WITNESS_DOMAINS = {
     "disk": Ball(np.array([0.2, -0.1]), 1.3),

@@ -47,8 +47,6 @@ GEOMETRY = [
     "UnionOfBalls",
     "certified_segment_clearances",
     "diameter",
-    "dump_domain",
-    "dump_point_set",
     "hull_clearance",
     "interior_clearances",
     "load_domain",
